@@ -31,10 +31,9 @@ from .errors import (FormatError, HomSuperError, PreconditionError,
                      SearchInconclusive, StemDecompositionError)
 from .factorset import (check_multiplicative_factor_set, extend,
                         factor_set_from_complement, validate_factor_set)
-from .fileio import (algebra_from_dict, algebra_to_dict, dumps_canonical,
-                     factorset_to_dict, load_algebra, load_factorset,
-                     load_witness, matrix_to_lists, save_json,
-                     witness_to_dict)
+from .fileio import (algebra_to_dict, dumps_canonical, factorset_to_dict,
+                     load_algebra, load_factorset, load_witness,
+                     matrix_to_lists, save_json, witness_to_dict)
 from .isoclinism import (DEFAULT_BUDGET, fingerprint, iso_search,
                          isoclinic_decide, stem_decompose, verify_isoclinism)
 from .linalg import vec
@@ -353,7 +352,14 @@ def cmd_stem_decompose(args):
     return EXIT_OK, report, payload
 
 
+def _check_budget(args):
+    if args.budget < 0:
+        raise FormatError(f"--budget must be non-negative, got {args.budget}")
+
+
 def cmd_isoclinic(args):
+    if args.decide:
+        _check_budget(args)
     g1 = _load(args, args.file_a)
     g2 = _load(args, args.file_b)
     if args.witness:
@@ -386,6 +392,7 @@ def cmd_isoclinic(args):
 
 
 def cmd_iso_search(args):
+    _check_budget(args)
     g1 = _load(args, args.file_a)
     g2 = _load(args, args.file_b)
     found = iso_search(g1, g2, args.budget)

@@ -16,13 +16,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .linalg import (Field, Matrix, Subspace, basis_vec, vec_add, vec_is_zero,
-                     vec_scale, vec_sub, zero_vec)
+                     vec_scale, zero_vec)
 
 EVEN, ODD = 0, 1
 

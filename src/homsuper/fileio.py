@@ -12,7 +12,6 @@ canonical source of truth per structure constant.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .core import EvenLinearMap, HomLieSuperalgebra, SuperSpace
 from .errors import FormatError
@@ -200,6 +199,8 @@ def factorset_from_dict(data: dict):
     coeffs = {}
     dq, dz = qalg.dim, pz + qz
     for entry in raw:
+        if not isinstance(entry, dict):
+            raise FormatError("each coefficient entry must be an object")
         i = _dim(_expect(entry, "i"), "i")
         j = _dim(_expect(entry, "j"), "j")
         if i >= dq or j >= dq:
@@ -208,9 +209,12 @@ def factorset_from_dict(data: dict):
             raise FormatError(f"redundant coefficient entry ({i}, {j})")
         if (i, j) in coeffs:
             raise FormatError(f"duplicate coefficient entry ({i}, {j})")
+        result = _expect(entry, "result")
+        if not isinstance(result, dict):
+            raise FormatError("coefficient result must be an object")
         cell = {}
         want = (qalg.space.parity(i) + qalg.space.parity(j)) % 2
-        for ks, vs in _expect(entry, "result").items():
+        for ks, vs in result.items():
             try:
                 k = int(ks)
             except (TypeError, ValueError):
@@ -278,6 +282,8 @@ def witness_from_dict(data: dict, g1: HomLieSuperalgebra,
     if field != g1.field or field != g2.field:
         raise FormatError("witness field does not match the algebras")
     conv = _expect(data, "conventions")
+    if not isinstance(conv, dict):
+        raise FormatError("conventions must be an object")
     expected = {
         "g1_quotient_reps": _convention_reps(g1),
         "g1_derived_basis": _convention_derived(g1),

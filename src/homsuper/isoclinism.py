@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (EvenLinearMap, Failure, GradedSubspace, HomLieSuperalgebra,
-                   SuperSpace, ValidationReport, bracket_span, center,
+from .core import (EVEN, ODD, EvenLinearMap, Failure, GradedSubspace,
+                   HomLieSuperalgebra, ValidationReport, bracket_span, center,
                    check_homomorphism, check_multiplicative, check_regular,
                    derived, direct_sum, direct_sum_with_embeddings,
                    is_hom_ideal, is_isomorphism, is_stem, quotient,
@@ -345,14 +345,27 @@ def iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     """Search for a twist-intertwining isomorphism g1 -> g2.
 
     Returns a verified isomorphism, or None when provably none exists.
-    Over a prime field the whole space of even matrices is enumerated in
-    lexicographic entry order (even block then odd block), so None is
-    definitive and the returned map is the lexicographically smallest.
-    Over the rationals only fingerprint pruning plus a restricted family
-    of maps (parity-preserving permutations composed with diagonal
-    scalings drawn from `scalars`) is tried; exhausting that family is
-    not a proof of absence, so SearchInconclusive is raised instead of
-    returning None.
+    Candidates are even maps diag(E, O), walked in a fixed lexicographic
+    order.  Over a prime field that order runs over the whole space of
+    even matrices, entries of the even block E first, then of the odd
+    block O, so None is definitive and the returned map is the
+    lexicographically smallest isomorphism.  Over the rationals only
+    fingerprint pruning plus a restricted family of maps is tried:
+    parity-preserving permutations composed with diagonal scalings drawn
+    from `scalars`, ordered by even permutation, odd permutation, even
+    diagonal, odd diagonal.  Exhausting that family is not a proof of
+    absence, so SearchInconclusive is raised instead of returning None.
+
+    Conditions on one block prune every candidate that shares it.  An
+    even block is rejected when E is singular, when E fails the even half
+    of twist intertwining, or when E breaks a bracket relation between two
+    even basis elements whose bracket in g1 has no odd part; an odd block
+    is rejected when O is singular or fails the odd half of twist
+    intertwining.  The remaining bracket relations are checked only on
+    candidates whose blocks both pass.  Pruning changes neither the result
+    nor the budget: the budget counts positions in the candidate order,
+    whether a candidate is examined or skipped with a rejected block, and
+    SearchInconclusive("budget") is raised once the position passes it.
     """
     if g1.field != g2.field:
         raise PreconditionError("isomorphism search requires the same scalar field")
@@ -360,50 +373,136 @@ def iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
         return None
     f = g1.field
     p, q = g1.space.dims
-    count = 0
     if f.p is not None:
-        for flat in itertools.product(f.elements(), repeat=p * p + q * q):
-            count += 1
-            if count > budget:
-                raise SearchInconclusive("budget")
-            m = _even_matrix_from_blocks(f, p, q,
-                                         flat[:p * p], flat[p * p:])
-            if not m.is_invertible():
-                continue
-            cand = EvenLinearMap(g1.space, g2.space, m)
-            if is_isomorphism(cand, g1, g2):
-                return cand
-        return None
+        elems = tuple(f.elements())
+        return _pruned_search(g1, g2, budget, _prime_field_blocks(elems, p, q),
+                              len(elems) ** (q * q))
     scalars = tuple(f.of(c) for c in scalars)
     if any(c == 0 for c in scalars):
         raise ValueError("diagonal scalars must be nonzero")
+    found = _pruned_search(g1, g2, budget, _monomial_blocks(f, scalars, p, q),
+                           len(scalars) ** q)
+    if found is None:
+        raise SearchInconclusive("restricted-search-exhausted")
+    return found
+
+
+def _prime_field_blocks(elems: tuple, p: int, q: int):
+    """Even blocks of all p x p matrices, each with all odd q x q blocks."""
+    for even in itertools.product(elems, repeat=p * p):
+        yield _square(even, p), _prime_field_odd_blocks(elems, q)
+
+
+def _prime_field_odd_blocks(elems: tuple, q: int):
+    for odd in itertools.product(elems, repeat=q * q):
+        yield _square(odd, q)
+
+
+def _monomial_blocks(f: Field, scalars: tuple, p: int, q: int):
+    """Permutation-times-diagonal even blocks, each with its odd blocks."""
     for pe in itertools.permutations(range(p)):
         for po in itertools.permutations(range(q)):
-            for diag in itertools.product(scalars, repeat=p + q):
-                count += 1
-                if count > budget:
-                    raise SearchInconclusive("budget")
-                cols = []
-                for i in range(p):
-                    cols.append([diag[i] if r == pe[i] else f.zero for r in range(p)]
-                                + [f.zero] * q)
-                for i in range(q):
-                    cols.append([f.zero] * p
-                                + [diag[p + i] if r == po[i] else f.zero for r in range(q)])
-                cand = EvenLinearMap(g1.space, g2.space, Matrix.from_columns(f, cols))
-                if is_isomorphism(cand, g1, g2):
-                    return cand
-    raise SearchInconclusive("restricted-search-exhausted")
+            for de in itertools.product(scalars, repeat=p):
+                yield _monomial(f, pe, de), _monomial_odd_blocks(f, scalars, po)
 
 
-def _even_matrix_from_blocks(f: Field, p: int, q: int,
-                             even_flat: Sequence, odd_flat: Sequence) -> Matrix:
-    rows = []
-    for i in range(p):
-        rows.append(list(even_flat[i * p:(i + 1) * p]) + [f.zero] * q)
-    for i in range(q):
-        rows.append([f.zero] * p + list(odd_flat[i * q:(i + 1) * q]))
-    return Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, 0)
+def _monomial_odd_blocks(f: Field, scalars: tuple, po: tuple):
+    for do in itertools.product(scalars, repeat=len(po)):
+        yield _monomial(f, po, do)
+
+
+def _square(flat: Sequence, n: int) -> tuple:
+    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+
+def _monomial(f: Field, perm: Sequence[int], diag: Sequence) -> tuple:
+    """Column i holds diag[i] in row perm[i]."""
+    rows = [[f.zero] * len(perm) for _ in perm]
+    for i, (r, c) in enumerate(zip(perm, diag)):
+        rows[r][i] = c
+    return tuple(map(tuple, rows))
+
+
+def _pruned_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
+                   budget: int, blocks, odd_count: int) -> Optional[EvenLinearMap]:
+    """First isomorphism diag(E, O) in block order, or None.
+
+    `blocks` yields each even block E together with the odd blocks that
+    follow it in the candidate order, odd_count of them; a rejected E
+    advances the position past all of them at once.
+    """
+    f = g1.field
+    mod = f.p
+    p, q = g1.space.dims
+    d = p + q
+    twists = [(g1.twist.submatrix(idx, idx), g2.twist.submatrix(idx, idx))
+              for idx in (range(p), range(p, d))]
+    table = [[_sparse(g2.basis_bracket(a, b)) for b in range(d)] for a in range(d)]
+    even_rel, rest_rel = [], []
+    for i in range(d):
+        for j in range(i, d):
+            rel = (i, j, _sparse(g1.basis_bracket(i, j)))
+            pure_even = j < p and all(k < p for k, _ in rel[2])
+            (even_rel if pure_even else rest_rel).append(rel)
+
+    def relations_hold(rels, cols):
+        for i, j, value in rels:
+            acc = [0] * d
+            for k, v in value:
+                for r, x in cols[k]:
+                    acc[r] += v * x
+            for a, x in cols[i]:
+                for b, y in cols[j]:
+                    xy = x * y
+                    for k, v in table[a][b]:
+                        acc[k] -= xy * v
+            if any(x % mod for x in acc) if mod else any(acc):
+                return False
+        return True
+
+    def block_ok(block, parity):
+        """Twist intertwining and invertibility of one diagonal block."""
+        m = Matrix.from_rows(f, block)
+        t1, t2 = twists[parity]
+        return m @ t1 == t2 @ m and m.is_invertible()
+
+    count = 0
+    odd_verdicts = {}
+    for even, odds in blocks:
+        cols = [_block_column(even, i, 0) for i in range(p)] + [None] * q
+        if not (relations_hold(even_rel, cols) and block_ok(even, EVEN)):
+            count += odd_count
+            if count > budget:
+                raise SearchInconclusive("budget")
+            continue
+        for odd in odds:
+            count += 1
+            if count > budget:
+                raise SearchInconclusive("budget")
+            ok = odd_verdicts.get(odd)
+            if ok is None:
+                ok = odd_verdicts[odd] = block_ok(odd, ODD)
+            if not ok:
+                continue
+            for a in range(q):
+                cols[p + a] = _block_column(odd, a, p)
+            if relations_hold(rest_rel, cols):
+                rows = [r + (f.zero,) * q for r in even] \
+                    + [(f.zero,) * p + r for r in odd]
+                cand = EvenLinearMap(g1.space, g2.space, Matrix.from_rows(f, rows))
+                if not is_isomorphism(cand, g1, g2):
+                    raise RuntimeError("pruned search accepted a non-isomorphism")
+                return cand
+    return None
+
+
+def _sparse(v: Sequence) -> tuple:
+    return tuple((k, x) for k, x in enumerate(v) if x != 0)
+
+
+def _block_column(block: tuple, i: int, off: int) -> tuple:
+    """Nonzero entries of column i of a diagonal block placed at offset off."""
+    return tuple((off + r, row[i]) for r, row in enumerate(block) if row[i] != 0)
 
 
 # ---------------------------------------------------------------------------
