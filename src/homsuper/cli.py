@@ -13,7 +13,9 @@ Subcommands wrap every library capability:
   iso-search       search for a twist-intertwining isomorphism
 
 Exit codes: 0 success/true, 1 checked-false or failed precondition,
-2 input error, 3 inconclusive.  Reports are byte-deterministic JSON
+2 input error, 3 inconclusive, 4 internal error (a constructed object
+failed re-validation, or an input the checks let through broke a
+construction).  Reports are byte-deterministic JSON
 (or --format text); --output writes the primary constructed object so
 it can be fed back into other commands.
 """
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def main(argv=None) -> int:
@@ -58,6 +61,9 @@ def main(argv=None) -> int:
         _emit(args, {"command": _echo(args), "verdict": "inconclusive",
                      "reason": exc.reason})
         return EXIT_INCONCLUSIVE
+    except (HomSuperError, RuntimeError) as exc:
+        _emit(args, {"command": _echo(args), "error": str(exc)})
+        return EXIT_INTERNAL
     _emit(args, report)
     if args.output and artifact is not None:
         save_json(args.output, artifact)

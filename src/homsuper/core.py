@@ -321,21 +321,24 @@ class GradedSubspace:
     @staticmethod
     def from_subspace(space: SuperSpace, sub: Subspace) -> "GradedSubspace":
         """Split a full-space subspace into parity parts; fails when the
-        subspace is not graded."""
+        subspace is not graded.
+
+        The kernel of the even projection on S is S∩V1 and that of the odd
+        projection is S∩V0, so dim proj0(S) + dim proj1(S) = 2·dim S −
+        dim(S∩V0) − dim(S∩V1), and proj0(S) ⊇ S∩V0, proj1(S) ⊇ S∩V1.
+        Hence S is graded iff the projections' dims add up to dim S, and
+        then the projections are its parts.
+        """
+        if sub.ambient_dim != space.dim:
+            raise ValueError("subspaces live in different ambient spaces")
         f = sub.field
-        p, q = space.dims
-        even_block = Subspace.from_vectors(f, space.dim,
-                                           [basis_vec(f, space.dim, i) for i in range(p)])
-        odd_block = Subspace.from_vectors(f, space.dim,
-                                          [basis_vec(f, space.dim, p + i) for i in range(q)])
-        e_full = sub.intersect(even_block)
-        o_full = sub.intersect(odd_block)
-        if e_full.dim + o_full.dim != sub.dim:
+        p = space.even_dim
+        rows = sub.basis_rows()
+        even = Subspace.from_vectors(f, p, [row[:p] for row in rows])
+        odd = Subspace.from_vectors(f, space.odd_dim, [row[p:] for row in rows])
+        if even.dim + odd.dim != sub.dim:
             raise ValueError("subspace is not graded")
-        evens = [row[:p] for row in e_full.basis_rows()]
-        odds = [row[p:] for row in o_full.basis_rows()]
-        return GradedSubspace(Subspace.from_vectors(f, p, evens),
-                              Subspace.from_vectors(f, q, odds))
+        return GradedSubspace(even, odd)
 
     @property
     def field(self) -> Field:

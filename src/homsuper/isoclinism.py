@@ -525,8 +525,6 @@ def isoclinic_decide(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
         raise PreconditionError("decision requires the same scalar field")
     sd1 = stem_decompose(g1)
     sd2 = stem_decompose(g2)
-    if fingerprint(sd1.stem_part) != fingerprint(sd2.stem_part):
-        return "not-isoclinic", None
     try:
         f_stem = iso_search(sd1.stem_part, sd2.stem_part, budget)
     except SearchInconclusive:

@@ -59,7 +59,16 @@ class Field:
         return Fraction(1) if self.p is None else 1
 
     def of(self, x):
-        """Coerce an int, Fraction, or string to a canonical field element."""
+        """Coerce an int, Fraction, or string to a canonical field element.
+
+        A value that is already canonical (exactly a Fraction over Q, an
+        int in [0, p) over F_p) is returned as it is.
+        """
+        if self.p is None:
+            if type(x) is Fraction:
+                return x
+        elif type(x) is int and 0 <= x < self.p:
+            return x
         if isinstance(x, str):
             return self.parse(x)
         if self.p is None:

@@ -80,3 +80,24 @@ def test_negative_budget_is_an_input_error(command, corpus_dir, capsys):
     hs_file = str(corpus_dir / "hs.json")
     argv = command[:1] + [hs_file, hs_file] + command[1:] + ["--budget", "-1"]
     assert_input_error(argv, capsys, "--budget must be non-negative")
+
+
+def test_internal_error_exits_4(tmp_path, corpus_dir, capsys):
+    """An even (3|0) algebra that passes parity but fails Jacobi
+    ([a,b]=c, [b,c]=a, [a,c]=a, identity twist) breaks the re-validation
+    of a direct sum; that is reported as JSON with exit code 4."""
+    bad = {
+        "name": "not-jacobi", "field": "Q", "even_dim": 3, "odd_dim": 0,
+        "basis_names": ["a", "b", "c"],
+        "brackets": [{"i": 0, "j": 1, "result": {"2": "1"}},
+                     {"i": 1, "j": 2, "result": {"0": "1"}},
+                     {"i": 0, "j": 2, "result": {"0": "1"}}],
+        "theta": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    }
+    path = tmp_path / "bad.json"
+    save_json(str(path), bad)
+    code, out = run(["sum", str(path), str(corpus_dir / "a_1_0.json")], capsys)
+    assert code == cli.EXIT_INTERNAL == 4
+    report = json.loads(out)
+    assert report == {"command": ["sum", f"file_a={path}", f"file_b={corpus_dir / 'a_1_0.json'}"],
+                      "error": "direct sum failed re-validation"}
