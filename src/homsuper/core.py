@@ -8,15 +8,18 @@ the quotient / direct-sum / homomorphism constructions.
 
 Conventions used throughout the package:
   * basis indices 0..p-1 are even, p..p+q-1 are odd;
-  * structure constants are stored sparsely for index pairs i <= j only,
-    the remaining brackets being recovered through graded skew-symmetry
-    (validators tolerate and flag explicitly injected i > j entries);
+  * structure constants and factor-set coefficients are both sparse graded
+    skew-symmetric bilinear tables, and GradedBilinearTable is the one
+    owner of their storage convention: cells for index pairs i <= j only,
+    zeros dropped, the remaining values recovered through graded
+    skew-symmetry (validators tolerate and flag explicitly injected
+    i > j entries);
   * all values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
@@ -78,38 +81,128 @@ def _check_even_matrix(space_rows: SuperSpace, space_cols: SuperSpace, m: Matrix
 
 
 @dataclass(frozen=True)
-class HomLieSuperalgebra:
-    """Structure constants plus an even twist matrix.
+class GradedBilinearTable:
+    """A sparse graded skew-symmetric bilinear map source x source -> target.
 
-    brackets maps (i, j) -> {k: scalar}, meaning [b_i, b_j] = sum_k c b_k.
-    Canonical storage keeps i <= j; entries with i > j may be injected for
-    validator testing and are then treated as stored values.
+    cells maps (i, j) -> {k: scalar}, meaning the value on the basis pair
+    (i, j) is sum_k c t_k.  Only i <= j is stored and zeros are dropped;
+    an i > j value derives from (j, i) by graded skew-symmetry, unless an
+    i > j cell was injected, which is kept for the validators to flag.
     """
 
-    space: SuperSpace
-    brackets: dict
-    twist: Matrix
+    field: Field
+    source: SuperSpace
+    target: SuperSpace
+    cells: dict
 
     def __post_init__(self):
-        f = self.twist.field
-        d = self.space.dim
-        if (self.twist.nrows, self.twist.ncols) != (d, d):
-            raise ValueError("twist shape does not match the space")
-        _check_even_matrix(self.space, self.space, self.twist)
+        f = self.field
+        ds, dt = self.source.dim, self.target.dim
         norm = {}
-        for (i, j), cell in self.brackets.items():
-            if not (0 <= i < d and 0 <= j < d):
-                raise ValueError(f"bracket index ({i}, {j}) out of range")
+        for (i, j), cell in self.cells.items():
+            if not (0 <= i < ds and 0 <= j < ds):
+                raise ValueError(f"cell index ({i}, {j}) out of range")
             clean = {}
             for k, v in cell.items():
-                if not 0 <= k < d:
-                    raise ValueError(f"bracket result index {k} out of range")
+                if not 0 <= k < dt:
+                    raise ValueError(f"value index {k} out of range")
                 cv = f.of(v)
                 if cv != 0:
                     clean[k] = cv
             if clean:
                 norm[(i, j)] = clean
-        object.__setattr__(self, "brackets", norm)
+        object.__setattr__(self, "cells", norm)
+
+    def cell(self, i: int, j: int) -> dict:
+        """The sparse value on the pair (i, j)."""
+        if (i, j) in self.cells:
+            return self.cells[(i, j)]
+        if i > j and (j, i) in self.cells:
+            f = self.field
+            s = f.neg(koszul_sign(f, self.source.parity(i), self.source.parity(j)))
+            return {k: f.mul(s, v) for k, v in self.cells[(j, i)].items()}
+        return {}
+
+    def value(self, i: int, j: int) -> tuple:
+        """The value on the pair (i, j) as a target-coordinate vector."""
+        out = [self.field.zero] * self.target.dim
+        for k, v in self.cell(i, j).items():
+            out[k] = v
+        return tuple(out)
+
+    def eval(self, x: Sequence, y: Sequence) -> tuple:
+        """Bilinear extension to whole source-coordinate vectors."""
+        f = self.field
+        out = [f.zero] * self.target.dim
+        for i, xi in enumerate(x):
+            if xi == 0:
+                continue
+            for j, yj in enumerate(y):
+                if yj == 0:
+                    continue
+                cell = self.cell(i, j)
+                if not cell:
+                    continue
+                c = f.mul(xi, yj)
+                for k, v in cell.items():
+                    out[k] = f.add(out[k], f.mul(c, v))
+        return tuple(out)
+
+    def parity_failures(self, axiom: str) -> tuple:
+        """Stored values off the parity |i| + |j|."""
+        f = self.field
+        fails = []
+        for (i, j) in sorted(self.cells):
+            want = (self.source.parity(i) + self.source.parity(j)) % 2
+            for k in sorted(self.cells[(i, j)]):
+                if self.target.parity(k) != want:
+                    fails.append(Failure(axiom, (i, j, k),
+                                         (self.cells[(i, j)][k],), (f.zero,)))
+        return tuple(fails)
+
+    def skew_failures(self, axiom: str) -> tuple:
+        """Pairs breaking t(i, j) = -(-1)^{|i||j|} t(j, i), derived values
+        included; even diagonal values are forced to vanish."""
+        f = self.field
+        zero = zero_vec(f, self.target.dim)
+        fails = []
+        for i in range(self.source.dim):
+            for j in range(i + 1):
+                if i == j:
+                    if self.source.parity(i) == EVEN:
+                        v = self.value(i, i)
+                        if not vec_is_zero(v):
+                            fails.append(Failure(axiom, (i, i), v, zero))
+                    continue
+                lhs = self.value(i, j)
+                s = f.neg(koszul_sign(f, self.source.parity(i), self.source.parity(j)))
+                rhs = vec_scale(f, s, self.value(j, i))
+                if lhs != rhs:
+                    fails.append(Failure(axiom, (i, j), lhs, rhs))
+        return tuple(fails)
+
+
+@dataclass(frozen=True)
+class HomLieSuperalgebra:
+    """Structure constants plus an even twist matrix.
+
+    brackets maps (i, j) -> {k: scalar}, meaning [b_i, b_j] = sum_k c b_k;
+    it is the cells dict of `table`, which owns the storage convention.
+    """
+
+    space: SuperSpace
+    brackets: dict
+    twist: Matrix
+    table: GradedBilinearTable = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.space.dim
+        if (self.twist.nrows, self.twist.ncols) != (d, d):
+            raise ValueError("twist shape does not match the space")
+        _check_even_matrix(self.space, self.space, self.twist)
+        table = GradedBilinearTable(self.field, self.space, self.space, self.brackets)
+        object.__setattr__(self, "brackets", table.cells)
+        object.__setattr__(self, "table", table)
 
     @property
     def field(self) -> Field:
@@ -119,42 +212,14 @@ class HomLieSuperalgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def _cell(self, i: int, j: int) -> dict:
-        """Structure constants of [b_i, b_j]; i > j cells derive by skew
-        unless explicitly stored."""
-        if (i, j) in self.brackets:
-            return self.brackets[(i, j)]
-        if i > j and (j, i) in self.brackets:
-            f = self.field
-            s = f.neg(koszul_sign(f, self.space.parity(i), self.space.parity(j)))
-            return {k: f.mul(s, v) for k, v in self.brackets[(j, i)].items()}
-        return {}
-
     def basis_bracket(self, i: int, j: int) -> tuple:
-        out = [self.field.zero] * self.dim
-        for k, v in self._cell(i, j).items():
-            out[k] = v
-        return tuple(out)
+        return self.table.value(i, j)
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension of the structure constants to whole vectors."""
-        f = self.field
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cell = self._cell(i, j)
-                if not cell:
-                    continue
-                c = f.mul(xi, yj)
-                for k, v in cell.items():
-                    out[k] = f.add(out[k], f.mul(c, v))
-        return tuple(out)
+        return self.table.eval(x, y)
 
     def theta(self, v: Sequence) -> tuple:
         return self.twist.matvec(v)
@@ -185,38 +250,13 @@ class ValidationReport:
 
 def check_parity(g: HomLieSuperalgebra) -> ValidationReport:
     """Every stored constant must respect parity additivity."""
-    f = g.field
-    fails = []
-    for (i, j) in sorted(g.brackets):
-        want = (g.space.parity(i) + g.space.parity(j)) % 2
-        for k in sorted(g.brackets[(i, j)]):
-            if g.space.parity(k) != want:
-                fails.append(Failure("parity", (i, j, k),
-                                     (g.brackets[(i, j)][k],), (f.zero,)))
-    return ValidationReport(tuple(fails))
+    return ValidationReport(g.table.parity_failures("parity"))
 
 
 def check_graded_skew(g: HomLieSuperalgebra) -> ValidationReport:
     """[b_i, b_j] = -(-1)^{|i||j|} [b_j, b_i] on all pairs, derived entries
     included; even diagonal brackets are forced to vanish."""
-    f = g.field
-    d = g.dim
-    zero = zero_vec(f, d)
-    fails = []
-    for i in range(d):
-        for j in range(i + 1):
-            if i == j:
-                if g.space.parity(i) == EVEN:
-                    v = g.basis_bracket(i, i)
-                    if not vec_is_zero(v):
-                        fails.append(Failure("graded-skew", (i, i), v, zero))
-                continue
-            lhs = g.basis_bracket(i, j)
-            s = f.neg(koszul_sign(f, g.space.parity(i), g.space.parity(j)))
-            rhs = vec_scale(f, s, g.basis_bracket(j, i))
-            if lhs != rhs:
-                fails.append(Failure("graded-skew", (i, j), lhs, rhs))
-    return ValidationReport(tuple(fails))
+    return ValidationReport(g.table.skew_failures("graded-skew"))
 
 
 def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
@@ -440,7 +480,7 @@ def center(g: HomLieSuperalgebra) -> GradedSubspace:
         cols = [g.basis_bracket(i, j) for i in range(d)]
         for k in range(d):
             rows.append([cols[i][k] for i in range(d)])
-    m = Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, d)
+    m = Matrix.from_rows(f, rows, d)
     return GradedSubspace.from_subspace(g.space, m.nullspace())
 
 
@@ -502,18 +542,12 @@ def quotient(g: HomLieSuperalgebra, k: GradedSubspace,
             raise PreconditionError("quotient: supplied representatives do not complement the ideal")
     k_vecs = k.full_basis_vectors()
     w_vecs = w.full_basis_vectors()
-    basis = Matrix.from_columns(f, k_vecs + w_vecs)
+    basis = Matrix.from_columns(f, k_vecs + w_vecs, g.dim)
     proj = basis.inverse().submatrix(range(k.dim, g.dim), range(g.dim))
     qspace = SuperSpace(w.even.dim, w.odd.dim)
-    brackets = {}
-    for a in range(len(w_vecs)):
-        for b in range(a, len(w_vecs)):
-            coords = proj.matvec(g.bracket(w_vecs[a], w_vecs[b]))
-            cell = {t: c for t, c in enumerate(coords) if c != 0}
-            if cell:
-                brackets[(a, b)] = cell
-    twist = Matrix.from_columns(f, [proj.matvec(g.theta(wv)) for wv in w_vecs]) \
-        if w_vecs else Matrix.zero(f, 0, 0)
+    brackets = {(a, b): dict(enumerate(proj.matvec(g.bracket(w_vecs[a], w_vecs[b]))))
+                for a in range(len(w_vecs)) for b in range(a, len(w_vecs))}
+    twist = Matrix.from_columns(f, [proj.matvec(g.theta(wv)) for wv in w_vecs], w.dim)
     qalg = HomLieSuperalgebra(qspace, brackets, twist)
     return qalg, EvenLinearMap(g.space, qspace, proj)
 
@@ -541,19 +575,14 @@ def direct_sum_with_embeddings(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra):
         for (i, j), cell in g.brackets.items():
             brackets[(mp(i), mp(j))] = {mp(k): v for k, v in cell.items()}
     d = space.dim
-    rows = [[f.zero] * d for _ in range(d)]
-    for g, mp in ((g1, m1), (g2, m2)):
-        for i in range(g.dim):
-            for j in range(g.dim):
-                rows[mp(i)][mp(j)] = g.twist[i, j]
-    alg = HomLieSuperalgebra(space, brackets,
-                             Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, 0))
-    cols1 = [basis_vec(f, d, m1(i)) for i in range(g1.dim)]
-    cols2 = [basis_vec(f, d, m2(i)) for i in range(g2.dim)]
+    idx1 = [m1(i) for i in range(g1.dim)]
+    idx2 = [m2(i) for i in range(g2.dim)]
+    twist = Matrix.from_blocks(f, d, d, [(idx1, idx1, g1.twist), (idx2, idx2, g2.twist)])
+    alg = HomLieSuperalgebra(space, brackets, twist)
     emb1 = EvenLinearMap(g1.space, space,
-                         Matrix.from_columns(f, cols1) if cols1 else Matrix.zero(f, d, 0))
+                         Matrix.from_columns(f, [basis_vec(f, d, i) for i in idx1], d))
     emb2 = EvenLinearMap(g2.space, space,
-                         Matrix.from_columns(f, cols2) if cols2 else Matrix.zero(f, d, 0))
+                         Matrix.from_columns(f, [basis_vec(f, d, i) for i in idx2], d))
     return alg, emb1, emb2
 
 
@@ -595,18 +624,11 @@ def subalgebra_on(g: HomLieSuperalgebra, k: GradedSubspace):
             if not kf.contains_vector(g.bracket(va, vb)):
                 raise PreconditionError("subspace is not closed under the bracket")
     space = SuperSpace(k.even.dim, k.odd.dim)
-    brackets = {}
-    for a in range(len(vecs)):
-        for b in range(a, len(vecs)):
-            coords = kf.coordinates_of(g.bracket(vecs[a], vecs[b]))
-            cell = {t: c for t, c in enumerate(coords) if c != 0}
-            if cell:
-                brackets[(a, b)] = cell
-    twist = Matrix.from_columns(f, [kf.coordinates_of(g.theta(v)) for v in vecs]) \
-        if vecs else Matrix.zero(f, 0, 0)
+    brackets = {(a, b): dict(enumerate(kf.coordinates_of(g.bracket(vecs[a], vecs[b]))))
+                for a in range(len(vecs)) for b in range(a, len(vecs))}
+    twist = Matrix.from_columns(f, [kf.coordinates_of(g.theta(v)) for v in vecs], k.dim)
     alg = HomLieSuperalgebra(space, brackets, twist)
-    incl = EvenLinearMap(space, g.space,
-                         Matrix.from_columns(f, vecs) if vecs else Matrix.zero(f, g.dim, 0))
+    incl = EvenLinearMap(space, g.space, Matrix.from_columns(f, vecs, g.dim))
     return alg, incl
 
 

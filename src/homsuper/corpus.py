@@ -41,7 +41,7 @@ def t2(field: Field = QQ) -> HomLieSuperalgebra:
     return HomLieSuperalgebra(
         SuperSpace(1, 1, ("z", "f")),
         {(1, 1): {0: 1}},
-        Matrix.from_rows(field, [[4, 0], [0, 2]]))
+        Matrix.from_rows(field, [[4, 0], [0, 2]], 2))
 
 
 def g22(field: Field = QQ) -> HomLieSuperalgebra:
@@ -52,7 +52,7 @@ def g22(field: Field = QQ) -> HomLieSuperalgebra:
             [1, 0, 0, 0],
             [0, Fraction(3, 4), 0, 0],
             [0, 0, Fraction(1, 2), 0],
-            [0, 0, 0, Fraction(3, 2)]])
+            [0, 0, 0, Fraction(3, 2)]], 4)
     else:
         twist = Matrix.identity(field, 4)
     return HomLieSuperalgebra(space, brackets, twist)

@@ -15,94 +15,55 @@ along an isoclinism witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .core import (EvenLinearMap, Failure, GradedSubspace, HomLieSuperalgebra,
-                   SuperSpace, ValidationReport, abelian, center,
-                   check_multiplicative, check_regular, derived,
+from .core import (EvenLinearMap, Failure, GradedBilinearTable, GradedSubspace,
+                   HomLieSuperalgebra, SuperSpace, ValidationReport, abelian,
+                   center, check_multiplicative, check_regular, derived,
                    is_isomorphism, is_stem, koszul_sign, quotient)
 from .errors import HomSuperError, PreconditionError
 from .isoclinism import (IsoclinismWitness, central_quotient, derived_algebra,
                          verify_isoclinism)
-from .linalg import (Field, Matrix, Subspace, basis_vec, vec_add, vec_is_zero,
-                     vec_scale, vec_sub, zero_vec)
+from .linalg import (Field, Matrix, Subspace, basis_vec, vec_add, vec_scale,
+                     vec_sub)
 
 
 @dataclass(frozen=True)
 class FactorSet:
     """Coefficient table of a bilinear map quotient x quotient -> center.
 
-    coeffs maps quotient index pairs (i, j), i <= j, to {k: scalar} over
-    the center basis; i > j values derive through graded skew-symmetry
-    (injected i > j entries are kept and flagged by the validator, like
-    algebra structure constants).
+    coeffs maps quotient index pairs (i, j) to {k: scalar} over the center
+    basis; it is the cells dict of `table`, stored and derived like the
+    structure constants of an algebra.
     """
 
     quotient: HomLieSuperalgebra
     center_space: SuperSpace
     center_twist: Matrix
     coeffs: dict
+    table: GradedBilinearTable = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f = self.quotient.field
         if (self.center_twist.nrows, self.center_twist.ncols) \
                 != (self.center_space.dim, self.center_space.dim):
             raise ValueError("center twist shape does not match the center space")
-        dq, dz = self.quotient.dim, self.center_space.dim
-        norm = {}
-        for (i, j), cell in self.coeffs.items():
-            if not (0 <= i < dq and 0 <= j < dq):
-                raise ValueError(f"coefficient index ({i}, {j}) out of range")
-            clean = {}
-            for k, v in cell.items():
-                if not 0 <= k < dz:
-                    raise ValueError(f"center index {k} out of range")
-                cv = f.of(v)
-                if cv != 0:
-                    clean[k] = cv
-            if clean:
-                norm[(i, j)] = clean
-        object.__setattr__(self, "coeffs", norm)
+        table = GradedBilinearTable(self.field, self.quotient.space,
+                                    self.center_space, self.coeffs)
+        object.__setattr__(self, "coeffs", table.cells)
+        object.__setattr__(self, "table", table)
 
     @property
     def field(self) -> Field:
         return self.quotient.field
 
-    def _cell(self, i: int, j: int) -> dict:
-        if (i, j) in self.coeffs:
-            return self.coeffs[(i, j)]
-        if i > j and (j, i) in self.coeffs:
-            f = self.field
-            s = f.neg(koszul_sign(f, self.quotient.space.parity(i),
-                                  self.quotient.space.parity(j)))
-            return {k: f.mul(s, v) for k, v in self.coeffs[(j, i)].items()}
-        return {}
-
     def value(self, i: int, j: int) -> tuple:
         """r(q_i, q_j) as a center-coordinate vector."""
-        out = [self.field.zero] * self.center_space.dim
-        for k, v in self._cell(i, j).items():
-            out[k] = v
-        return tuple(out)
+        return self.table.value(i, j)
 
     def eval(self, u: Sequence, v: Sequence) -> tuple:
         """Bilinear extension to arbitrary quotient-coordinate vectors."""
-        f = self.field
-        out = [f.zero] * self.center_space.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                cell = self._cell(i, j)
-                if not cell:
-                    continue
-                c = f.mul(ui, vj)
-                for k, w in cell.items():
-                    out[k] = f.add(out[k], f.mul(c, w))
-        return tuple(out)
+        return self.table.eval(u, v)
 
 
 def validate_factor_set(fs: FactorSet) -> ValidationReport:
@@ -113,25 +74,8 @@ def validate_factor_set(fs: FactorSet) -> ValidationReport:
     f = fs.field
     q = fs.quotient
     dq = q.dim
-    zc = zero_vec(f, fs.center_space.dim)
-    fails = []
-    for (i, j) in sorted(fs.coeffs):
-        want = (q.space.parity(i) + q.space.parity(j)) % 2
-        for k in sorted(fs.coeffs[(i, j)]):
-            if fs.center_space.parity(k) != want:
-                fails.append(Failure("factor-parity", (i, j, k),
-                                     (fs.coeffs[(i, j)][k],), (f.zero,)))
-    for i in range(dq):
-        for j in range(i + 1):
-            if i == j:
-                if q.space.parity(i) == 0 and not vec_is_zero(fs.value(i, i)):
-                    fails.append(Failure("factor-skew", (i, i), fs.value(i, i), zc))
-                continue
-            s = f.neg(koszul_sign(f, q.space.parity(i), q.space.parity(j)))
-            lhs = fs.value(i, j)
-            rhs = vec_scale(f, s, fs.value(j, i))
-            if lhs != rhs:
-                fails.append(Failure("factor-skew", (i, j), lhs, rhs))
+    fails = list(fs.table.parity_failures("factor-parity")
+                 + fs.table.skew_failures("factor-skew"))
     tw = [q.twist.col(i) for i in range(dq)]
     e = [basis_vec(f, dq, i) for i in range(dq)]
     for i in range(dq):
@@ -195,31 +139,15 @@ def extend(fs: FactorSet) -> Extension:
     d = pz + pq + qz + qq
     space = SuperSpace(pz + pq, qz + qq)
     brackets = {}
-    for (i, j), qcell_pair in _all_quotient_pairs(fs):
-        cell = {}
-        for k, v in fs._cell(i, j).items():
-            cell[center_idx[k]] = v
-        for k, v in qcell_pair.items():
-            cell[quotient_idx[k]] = v
-        if cell:
+    for i in range(fs.quotient.dim):
+        for j in range(i, fs.quotient.dim):
+            cell = {center_idx[k]: v for k, v in fs.table.cell(i, j).items()}
+            cell.update((quotient_idx[k], v)
+                        for k, v in fs.quotient.table.cell(i, j).items())
             brackets[(quotient_idx[i], quotient_idx[j])] = cell
-    rows = [[f.zero] * d for _ in range(d)]
-    for a in range(fs.center_space.dim):
-        for b in range(fs.center_space.dim):
-            rows[center_idx[a]][center_idx[b]] = fs.center_twist[a, b]
-    for a in range(fs.quotient.dim):
-        for b in range(fs.quotient.dim):
-            rows[quotient_idx[a]][quotient_idx[b]] = fs.quotient.twist[a, b]
-    alg = HomLieSuperalgebra(space, brackets, Matrix.from_rows(f, rows)
-                             if rows else Matrix.zero(f, 0, 0))
-    return Extension(alg, center_idx, quotient_idx, fs)
-
-
-def _all_quotient_pairs(fs: FactorSet):
-    q = fs.quotient
-    for i in range(q.dim):
-        for j in range(i, q.dim):
-            yield (i, j), q._cell(i, j)
+    twist = Matrix.from_blocks(f, d, d, [(center_idx, center_idx, fs.center_twist),
+                                         (quotient_idx, quotient_idx, fs.quotient.twist)])
+    return Extension(HomLieSuperalgebra(space, brackets, twist), center_idx, quotient_idx, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +194,9 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
                 + str([f.fmt(x) for x in tv]))
     qalg, proj = quotient(g, z, reps=w)
     reps = w.full_basis_vectors()
-    sect = EvenLinearMap(qalg.space, g.space,
-                         Matrix.from_columns(f, reps) if reps
-                         else Matrix.zero(f, g.dim, 0))
+    sect = EvenLinearMap(qalg.space, g.space, Matrix.from_columns(f, reps, g.dim))
     zvecs = z.full_basis_vectors()
-    basis = Matrix.from_columns(f, zvecs + reps)
+    basis = Matrix.from_columns(f, zvecs + reps, g.dim)
     proj_z_matrix = basis.inverse().submatrix(range(z.dim), range(g.dim))
     center_sp = SuperSpace(z.even.dim, z.odd.dim)
     proj_z = EvenLinearMap(g.space, center_sp, proj_z_matrix)
@@ -281,18 +207,16 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
         if not zfull.contains_vector(tzv):
             raise PreconditionError("twist does not preserve the center")
         tw_cols.append(zfull.coordinates_of(tzv))
-    center_twist = Matrix.from_columns(f, tw_cols) if tw_cols \
-        else Matrix.zero(f, 0, 0)
+    center_twist = Matrix.from_columns(f, tw_cols, z.dim)
     coeffs = {}
     for a in range(qalg.dim):
         for b in range(a, qalg.dim):
             val = vec_sub(f, g.bracket(reps[a], reps[b]),
                           sect(qalg.basis_bracket(a, b)))
-            if not zfull.contains_vector(val):
+            coords = zfull.coordinates_of(val)
+            if coords is None:
                 raise HomSuperError("factor set value escaped the center")
-            cell = {k: c for k, c in enumerate(zfull.coordinates_of(val)) if c != 0}
-            if cell:
-                coeffs[(a, b)] = cell
+            coeffs[(a, b)] = dict(enumerate(coords))
     fs = FactorSet(qalg, center_sp, center_twist, coeffs)
     ext = extend(fs)
     cols = [None] * ext.algebra.dim
@@ -300,9 +224,7 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
         cols[idx] = zvecs[k]
     for a, idx in enumerate(ext.quotient_indices):
         cols[idx] = reps[a]
-    iso = EvenLinearMap(ext.algebra.space, g.space,
-                        Matrix.from_columns(f, cols) if cols
-                        else Matrix.zero(f, 0, 0))
+    iso = EvenLinearMap(ext.algebra.space, g.space, Matrix.from_columns(f, cols, g.dim))
     if not is_isomorphism(iso, ext.algebra, g):
         raise HomSuperError("extension did not rebuild the algebra")
     return fs, ComplementSplitting(w, sect, proj_z), iso
@@ -338,21 +260,14 @@ def transport_factor_set(s: FactorSet, witness: IsoclinismWitness,
     if not nu_z.is_invertible():
         raise PreconditionError("derived-subalgebra map is not invertible on the centers")
     nu_z_inv = nu_z.inverse()
-    f_ = f
-    coeffs = {}
     dq = q1alg.dim
-    for a in range(dq):
-        for b in range(a, dq):
-            sval = s.eval(witness.quotient_map(basis_vec(f_, dq, a)),
-                          witness.quotient_map(basis_vec(f_, dq, b)))
-            rval = nu_z_inv.matvec(sval)
-            cell = {k: c for k, c in enumerate(rval) if c != 0}
-            if cell:
-                coeffs[(a, b)] = cell
+    images = [witness.quotient_map(basis_vec(f, dq, a)) for a in range(dq)]
+    coeffs = {(a, b): dict(enumerate(nu_z_inv.matvec(s.eval(images[a], images[b]))))
+              for a in range(dq) for b in range(a, dq)}
     z1 = center(g1)
     z1full = z1.to_subspace()
     tw_cols = [z1full.coordinates_of(g1.theta(zv)) for zv in z1.full_basis_vectors()]
-    center_twist = Matrix.from_columns(f, tw_cols) if tw_cols else Matrix.zero(f, 0, 0)
+    center_twist = Matrix.from_columns(f, tw_cols, z1.dim)
     fs = FactorSet(q1alg, SuperSpace(z1.even.dim, z1.odd.dim), center_twist, coeffs)
     vrep = validate_factor_set(fs)
     if not vrep.passed:
@@ -378,9 +293,7 @@ def _center_restriction(witness: IsoclinismWitness, g1, g2) -> Matrix:
         if coords2 is None:
             raise PreconditionError("derived-subalgebra map does not preserve the centers")
         cols.append(coords2)
-    f = g1.field
-    return Matrix.from_columns(f, cols) if cols \
-        else Matrix.zero(f, center(g2).dim, 0)
+    return Matrix.from_columns(g1.field, cols, z2full.dim)
 
 
 def extension_map_from_witness(witness: IsoclinismWitness, fs_src: FactorSet,
@@ -392,17 +305,10 @@ def extension_map_from_witness(witness: IsoclinismWitness, fs_src: FactorSet,
     dst = extend(fs_dst)
     f = fs_src.field
     nu_z = _center_restriction(witness, g1, g2)
-    rows = [[f.zero] * src.algebra.dim for _ in range(dst.algebra.dim)]
-    for a in range(fs_src.center_space.dim):
-        for b in range(fs_dst.center_space.dim):
-            rows[dst.center_indices[b]][src.center_indices[a]] = nu_z[b, a]
-    mu = witness.quotient_map.matrix
-    for a in range(fs_src.quotient.dim):
-        for b in range(fs_dst.quotient.dim):
-            rows[dst.quotient_indices[b]][src.quotient_indices[a]] = mu[b, a]
-    return EvenLinearMap(src.algebra.space, dst.algebra.space,
-                         Matrix.from_rows(f, rows) if rows
-                         else Matrix.zero(f, 0, 0))
+    m = Matrix.from_blocks(f, dst.algebra.dim, src.algebra.dim, [
+        (dst.center_indices, src.center_indices, nu_z),
+        (dst.quotient_indices, src.quotient_indices, witness.quotient_map.matrix)])
+    return EvenLinearMap(src.algebra.space, dst.algebra.space, m)
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +384,11 @@ def build_extension_isomorphism(quotient_map: EvenLinearMap,
         raise PreconditionError("shift does not intertwine the twists")
     src = extend(fs_src)
     dst = extend(fs_dst)
-    d = src.algebra.dim
-    rows = [[f.zero] * d for _ in range(dst.algebra.dim)]
-    for a in range(fs_src.center_space.dim):
-        for b in range(fs_dst.center_space.dim):
-            rows[dst.center_indices[b]][src.center_indices[a]] = center_map.matrix[b, a]
-    for a in range(fs_src.quotient.dim):
-        for b in range(fs_dst.center_space.dim):
-            rows[dst.center_indices[b]][src.quotient_indices[a]] = shift.matrix[b, a]
-        for b in range(fs_dst.quotient.dim):
-            rows[dst.quotient_indices[b]][src.quotient_indices[a]] = quotient_map.matrix[b, a]
-    iso = EvenLinearMap(src.algebra.space, dst.algebra.space,
-                        Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, 0))
+    m = Matrix.from_blocks(f, dst.algebra.dim, src.algebra.dim, [
+        (dst.center_indices, src.center_indices, center_map.matrix),
+        (dst.center_indices, src.quotient_indices, shift.matrix),
+        (dst.quotient_indices, src.quotient_indices, quotient_map.matrix)])
+    iso = EvenLinearMap(src.algebra.space, dst.algebra.space, m)
     if not is_isomorphism(iso, src.algebra, dst.algebra):
         raise HomSuperError("assembled map is not an extension isomorphism")
     return iso
@@ -520,10 +419,10 @@ def extract_center_shift(iso: EvenLinearMap, quotient_map: EvenLinearMap,
     dspan = GradedSubspace.from_subspace(
         q.space, Subspace.from_vectors(f, q.dim, bracket_vecs))
     comp = dspan.complement_in()
-    basis = Matrix.from_columns(f, dspan.full_basis_vectors() + comp.full_basis_vectors())
+    basis = Matrix.from_columns(f, dspan.full_basis_vectors() + comp.full_basis_vectors(),
+                                q.dim)
     coords = basis.inverse()
-    span_embed = Matrix.from_columns(f, dspan.full_basis_vectors()) if dspan.dim \
-        else Matrix.zero(f, q.dim, 0)
+    span_embed = Matrix.from_columns(f, dspan.full_basis_vectors(), q.dim)
     onto_span = span_embed @ coords.submatrix(range(dspan.dim), range(q.dim))
     shift = EvenLinearMap(q.space, fs_src.center_space, raw @ onto_span)
     for i in range(q.dim):

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 
-from .core import EvenLinearMap, HomLieSuperalgebra, SuperSpace
+from .core import (EvenLinearMap, GradedBilinearTable, HomLieSuperalgebra,
+                   SuperSpace)
 from .errors import FormatError
 from .factorset import FactorSet
 from .isoclinism import IsoclinismWitness, central_quotient, derived_algebra
@@ -51,8 +52,18 @@ def matrix_from_lists(field: Field, data, nrows: int, ncols: int) -> Matrix:
     if not isinstance(data, list) or len(data) != nrows \
             or any(not isinstance(r, list) or len(r) != ncols for r in data):
         raise FormatError(f"expected a {nrows}x{ncols} matrix")
-    return Matrix.from_rows(field, [[_scalar(field, x) for x in r] for r in data]) \
-        if nrows else Matrix.zero(field, 0, ncols)
+    return Matrix.from_rows(field, [[_scalar(field, x) for x in r] for r in data], ncols)
+
+
+def _even_square(field: Field, data, space: SuperSpace, noun: str) -> Matrix:
+    """A parity-even square matrix on space: theta, or a center twist."""
+    m = matrix_from_lists(field, data, space.dim, space.dim)
+    for i in range(space.dim):
+        for j in range(space.dim):
+            if space.parity(i) != space.parity(j) and m[i, j] != 0:
+                raise FormatError(
+                    f"{noun} must be parity-even: nonzero entry at ({i}, {j})")
+    return m
 
 
 def _expect(data: dict, key: str):
@@ -67,23 +78,62 @@ def _dim(value, key: str) -> int:
     return value
 
 
+def _table_to_list(table: GradedBilinearTable) -> list:
+    f = table.field
+    return [{"i": i, "j": j, "result": {str(k): f.fmt(cell[k]) for k in sorted(cell)}}
+            for (i, j), cell in sorted(table.cells.items())]
+
+
+def _table_from_list(field: Field, raw, source: SuperSpace, target: SuperSpace,
+                     noun: str) -> dict:
+    """Cells of a bilinear table from its file entries, i <= j only."""
+    if not isinstance(raw, list):
+        raise FormatError(f"{noun}s must be a list")
+    cells = {}
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise FormatError(f"each {noun} entry must be an object")
+        i = _dim(_expect(entry, "i"), "i")
+        j = _dim(_expect(entry, "j"), "j")
+        if i >= source.dim or j >= source.dim:
+            raise FormatError(f"{noun} index ({i}, {j}) out of range")
+        if i > j:
+            raise FormatError(
+                f"redundant {noun} entry ({i}, {j}): only i <= j is stored")
+        if (i, j) in cells:
+            raise FormatError(f"duplicate {noun} entry ({i}, {j})")
+        result = _expect(entry, "result")
+        if not isinstance(result, dict):
+            raise FormatError(f"{noun} result must be an object")
+        cell = {}
+        want = (source.parity(i) + source.parity(j)) % 2
+        for ks, vs in result.items():
+            try:
+                k = int(ks)
+            except (TypeError, ValueError):
+                raise FormatError(f"bad result index {ks!r}") from None
+            if not 0 <= k < target.dim:
+                raise FormatError(f"result index {k} out of range")
+            v = _scalar(field, vs)
+            if v != 0 and target.parity(k) != want:
+                raise FormatError(
+                    f"parity violation: [{i}, {j}] has a component on index {k}")
+            cell[k] = v
+        cells[(i, j)] = cell
+    return cells
+
+
 # ---------------------------------------------------------------------------
 # algebra files
 
 def algebra_to_dict(g: HomLieSuperalgebra, name: str) -> dict:
-    f = g.field
-    brackets = []
-    for (i, j) in sorted(g.brackets):
-        cell = g.brackets[(i, j)]
-        brackets.append({"i": i, "j": j,
-                         "result": {str(k): f.fmt(cell[k]) for k in sorted(cell)}})
     out = {
         "name": name,
-        "field": f.name,
+        "field": g.field.name,
         "even_dim": g.space.even_dim,
         "odd_dim": g.space.odd_dim,
         "theta": matrix_to_lists(g.twist),
-        "brackets": brackets,
+        "brackets": _table_to_list(g.table),
     }
     if g.space.basis_names is not None:
         out["basis_names"] = list(g.space.basis_names)
@@ -105,46 +155,8 @@ def algebra_from_dict(data: dict):
             raise FormatError("basis_names must be a list of p+q strings")
         names = tuple(names)
     space = SuperSpace(p, q, names)
-    theta = matrix_from_lists(field, _expect(data, "theta"), d, d)
-    for i in range(d):
-        for j in range(d):
-            if space.parity(i) != space.parity(j) and theta[i, j] != 0:
-                raise FormatError(
-                    f"theta must be parity-even: nonzero entry at ({i}, {j})")
-    raw = _expect(data, "brackets")
-    if not isinstance(raw, list):
-        raise FormatError("brackets must be a list")
-    brackets = {}
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise FormatError("each bracket entry must be an object")
-        i = _dim(_expect(entry, "i"), "i")
-        j = _dim(_expect(entry, "j"), "j")
-        if i >= d or j >= d:
-            raise FormatError(f"bracket index ({i}, {j}) out of range")
-        if i > j:
-            raise FormatError(
-                f"redundant bracket entry ({i}, {j}): only i <= j is stored")
-        if (i, j) in brackets:
-            raise FormatError(f"duplicate bracket entry ({i}, {j})")
-        result = _expect(entry, "result")
-        if not isinstance(result, dict):
-            raise FormatError("bracket result must be an object")
-        cell = {}
-        want = (space.parity(i) + space.parity(j)) % 2
-        for ks, vs in result.items():
-            try:
-                k = int(ks)
-            except (TypeError, ValueError):
-                raise FormatError(f"bad result index {ks!r}") from None
-            if not 0 <= k < d:
-                raise FormatError(f"result index {k} out of range")
-            v = _scalar(field, vs)
-            if v != 0 and space.parity(k) != want:
-                raise FormatError(
-                    f"parity violation: [{i}, {j}] has a component on index {k}")
-            cell[k] = v
-        brackets[(i, j)] = cell
+    theta = _even_square(field, _expect(data, "theta"), space, "theta")
+    brackets = _table_from_list(field, _expect(data, "brackets"), space, space, "bracket")
     name = data.get("name", "")
     if not isinstance(name, str):
         raise FormatError("name must be a string")
@@ -159,22 +171,16 @@ def load_algebra(path: str):
 # factor-set files
 
 def factorset_to_dict(fs: FactorSet, name: str) -> dict:
-    f = fs.field
-    coeffs = []
-    for (i, j) in sorted(fs.coeffs):
-        cell = fs.coeffs[(i, j)]
-        coeffs.append({"i": i, "j": j,
-                       "result": {str(k): f.fmt(cell[k]) for k in sorted(cell)}})
     return {
         "name": name,
-        "field": f.name,
+        "field": fs.field.name,
         "quotient": algebra_to_dict(fs.quotient, f"{name}.quotient"),
         "center": {
             "even_dim": fs.center_space.even_dim,
             "odd_dim": fs.center_space.odd_dim,
             "twist": matrix_to_lists(fs.center_twist),
         },
-        "coeffs": coeffs,
+        "coeffs": _table_to_list(fs.table),
     }
 
 
@@ -191,48 +197,14 @@ def factorset_from_dict(data: dict):
     pz = _dim(_expect(cdata, "even_dim"), "center even_dim")
     qz = _dim(_expect(cdata, "odd_dim"), "center odd_dim")
     center_space = SuperSpace(pz, qz)
-    center_twist = matrix_from_lists(field, _expect(cdata, "twist"),
-                                     pz + qz, pz + qz)
-    raw = _expect(data, "coeffs")
-    if not isinstance(raw, list):
-        raise FormatError("coeffs must be a list")
-    coeffs = {}
-    dq, dz = qalg.dim, pz + qz
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise FormatError("each coefficient entry must be an object")
-        i = _dim(_expect(entry, "i"), "i")
-        j = _dim(_expect(entry, "j"), "j")
-        if i >= dq or j >= dq:
-            raise FormatError(f"coefficient index ({i}, {j}) out of range")
-        if i > j:
-            raise FormatError(f"redundant coefficient entry ({i}, {j})")
-        if (i, j) in coeffs:
-            raise FormatError(f"duplicate coefficient entry ({i}, {j})")
-        result = _expect(entry, "result")
-        if not isinstance(result, dict):
-            raise FormatError("coefficient result must be an object")
-        cell = {}
-        want = (qalg.space.parity(i) + qalg.space.parity(j)) % 2
-        for ks, vs in result.items():
-            try:
-                k = int(ks)
-            except (TypeError, ValueError):
-                raise FormatError(f"bad result index {ks!r}") from None
-            if not 0 <= k < dz:
-                raise FormatError(f"center index {k} out of range")
-            v = _scalar(field, vs)
-            if v != 0 and center_space.parity(k) != want:
-                raise FormatError(
-                    f"parity violation in coefficient ({i}, {j}) at center index {k}")
-            cell[k] = v
-        coeffs[(i, j)] = cell
-    name = data.get("name", "")
+    center_twist = _even_square(field, _expect(cdata, "twist"), center_space, "center twist")
+    coeffs = _table_from_list(field, _expect(data, "coeffs"), qalg.space, center_space,
+                              "coefficient")
     try:
         fs = FactorSet(qalg, center_space, center_twist, coeffs)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    return name, fs
+    return data.get("name", ""), fs
 
 
 def load_factorset(path: str):
@@ -251,27 +223,26 @@ def witness_to_dict(w: IsoclinismWitness, g1: HomLieSuperalgebra,
     """Serialize a witness together with the deterministic basis
     conventions (central-quotient representatives and derived bases) the
     matrices refer to."""
+    conventions, _ = _conventions(g1, g2)
     return {
         "field": g1.field.name,
-        "quotient_map": _map_to_lists(w.quotient_map),
-        "derived_map": _map_to_lists(w.derived_map),
-        "conventions": {
-            "g1_quotient_reps": _convention_reps(g1),
-            "g1_derived_basis": _convention_derived(g1),
-            "g2_quotient_reps": _convention_reps(g2),
-            "g2_derived_basis": _convention_derived(g2),
-        },
+        "quotient_map": matrix_to_lists(w.quotient_map.matrix),
+        "derived_map": matrix_to_lists(w.derived_map.matrix),
+        "conventions": conventions,
     }
 
 
-def _convention_reps(g: HomLieSuperalgebra) -> list:
-    _, _, sect = central_quotient(g)
-    return matrix_to_lists(sect.matrix.transpose())
-
-
-def _convention_derived(g: HomLieSuperalgebra) -> list:
-    _, incl = derived_algebra(g)
-    return matrix_to_lists(incl.matrix.transpose())
+def _conventions(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra):
+    """The basis conventions of a witness between g1 and g2, keyed as in the
+    file, and the (central quotient, derived algebra) pair of each side."""
+    conventions, algebras = {}, []
+    for tag, g in (("g1", g1), ("g2", g2)):
+        q, _, sect = central_quotient(g)
+        d, incl = derived_algebra(g)
+        conventions[f"{tag}_quotient_reps"] = matrix_to_lists(sect.matrix.transpose())
+        conventions[f"{tag}_derived_basis"] = matrix_to_lists(incl.matrix.transpose())
+        algebras.append((q, d))
+    return conventions, algebras
 
 
 def witness_from_dict(data: dict, g1: HomLieSuperalgebra,
@@ -284,20 +255,11 @@ def witness_from_dict(data: dict, g1: HomLieSuperalgebra,
     conv = _expect(data, "conventions")
     if not isinstance(conv, dict):
         raise FormatError("conventions must be an object")
-    expected = {
-        "g1_quotient_reps": _convention_reps(g1),
-        "g1_derived_basis": _convention_derived(g1),
-        "g2_quotient_reps": _convention_reps(g2),
-        "g2_derived_basis": _convention_derived(g2),
-    }
+    expected, ((q1, d1), (q2, d2)) = _conventions(g1, g2)
     for key, want in expected.items():
         if conv.get(key) != want:
             raise FormatError(
                 f"witness conventions do not match the deterministic bases ({key})")
-    q1, _, _ = central_quotient(g1)
-    q2, _, _ = central_quotient(g2)
-    d1, _ = derived_algebra(g1)
-    d2, _ = derived_algebra(g2)
     mu = matrix_from_lists(field, _expect(data, "quotient_map"), q2.dim, q1.dim)
     nu = matrix_from_lists(field, _expect(data, "derived_map"), d2.dim, d1.dim)
     try:

@@ -64,9 +64,7 @@ def central_quotient(g: HomLieSuperalgebra):
     w = z.complement_in()
     qalg, proj = quotient(g, z, reps=w)
     reps = w.full_basis_vectors()
-    sect = EvenLinearMap(qalg.space, g.space,
-                         Matrix.from_columns(g.field, reps) if reps
-                         else Matrix.zero(g.field, g.dim, 0))
+    sect = EvenLinearMap(qalg.space, g.space, Matrix.from_columns(g.field, reps, g.dim))
     return qalg, proj, sect
 
 
@@ -156,15 +154,11 @@ def witness_from_surjection(f: EvenLinearMap, g1: HomLieSuperalgebra,
     d2full = derived(g2).to_subspace()
     fl = g1.field
     mu_cols = [proj2(f(sect1.matrix.col(i))) for i in range(q1.dim)]
-    mu = EvenLinearMap(q1.space, q2.space,
-                       Matrix.from_columns(fl, mu_cols) if mu_cols
-                       else Matrix.zero(fl, q2.dim, 0))
+    mu = EvenLinearMap(q1.space, q2.space, Matrix.from_columns(fl, mu_cols, q2.dim))
     nu_cols = [d2full.coordinates_of(f(incl1.matrix.col(a))) for a in range(d1alg.dim)]
     if any(c is None for c in nu_cols):
         raise PreconditionError("image of the derived subalgebra escapes the target's")
-    nu = EvenLinearMap(d1alg.space, d2alg.space,
-                       Matrix.from_columns(fl, nu_cols) if nu_cols
-                       else Matrix.zero(fl, d2alg.dim, 0))
+    nu = EvenLinearMap(d1alg.space, d2alg.space, Matrix.from_columns(fl, nu_cols, d2alg.dim))
     return IsoclinismWitness(mu, nu)
 
 
@@ -199,14 +193,10 @@ def isoclinism_abelian_sum(g1: HomLieSuperalgebra,
     dsfull = derived(s).to_subspace()
     f = g1.field
     mu_cols = [projs(emb1(sect1.matrix.col(i))) for i in range(q1.dim)]
-    mu = EvenLinearMap(q1.space, qs.space,
-                       Matrix.from_columns(f, mu_cols) if mu_cols
-                       else Matrix.zero(f, qs.dim, 0))
+    mu = EvenLinearMap(q1.space, qs.space, Matrix.from_columns(f, mu_cols, qs.dim))
     nu_cols = [dsfull.coordinates_of(emb1(incl1.matrix.col(a)))
                for a in range(d1alg.dim)]
-    nu = EvenLinearMap(d1alg.space, dsalg.space,
-                       Matrix.from_columns(f, nu_cols) if nu_cols
-                       else Matrix.zero(f, dsalg.dim, 0))
+    nu = EvenLinearMap(d1alg.space, dsalg.space, Matrix.from_columns(f, nu_cols, dsalg.dim))
     w = IsoclinismWitness(mu, nu)
     rep = verify_isoclinism(g1, s, w)
     if not rep.passed:
@@ -242,9 +232,7 @@ def isoclinism_quotient(g: HomLieSuperalgebra, k: GradedSubspace,
     z = k_meet_d.complement_in()
     reps = z.full_basis_vectors()
     cols = [proj_big(v) for v in reps]
-    nat = EvenLinearMap(small.space, big.space,
-                        Matrix.from_columns(f, cols) if cols
-                        else Matrix.zero(f, big.dim, 0))
+    nat = EvenLinearMap(small.space, big.space, Matrix.from_columns(f, cols, big.dim))
     w = witness_from_surjection(nat, small, big)
     rep = verify_isoclinism(small, big, w)
     if not rep.passed:
@@ -300,7 +288,7 @@ def stem_decompose(g: HomLieSuperalgebra) -> StemDecomposition:
     stem_part, _ = subalgebra_on(g, p0)
     abelian_part, _ = subalgebra_on(g, a)
     s, emb_p, emb_a = direct_sum_with_embeddings(stem_part, abelian_part)
-    basis = Matrix.from_columns(f, p0.full_basis_vectors() + a.full_basis_vectors())
+    basis = Matrix.from_columns(f, p0.full_basis_vectors() + a.full_basis_vectors(), g.dim)
     coords = basis.inverse()
     iso_matrix = emb_p.matrix.hstack(emb_a.matrix) @ coords
     iso = EvenLinearMap(g.space, s.space, iso_matrix)
@@ -462,7 +450,7 @@ def _pruned_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
 
     def block_ok(block, parity):
         """Twist intertwining and invertibility of one diagonal block."""
-        m = Matrix.from_rows(f, block)
+        m = Matrix.from_rows(f, block, len(block))
         t1, t2 = twists[parity]
         return m @ t1 == t2 @ m and m.is_invertible()
 
@@ -489,7 +477,7 @@ def _pruned_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
             if relations_hold(rest_rel, cols):
                 rows = [r + (f.zero,) * q for r in even] \
                     + [(f.zero,) * p + r for r in odd]
-                cand = EvenLinearMap(g1.space, g2.space, Matrix.from_rows(f, rows))
+                cand = EvenLinearMap(g1.space, g2.space, Matrix.from_rows(f, rows, d))
                 if not is_isomorphism(cand, g1, g2):
                     raise RuntimeError("pruned search accepted a non-isomorphism")
                 return cand

@@ -169,21 +169,30 @@ class Matrix:
     entries: tuple
 
     @staticmethod
-    def from_rows(field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [vec(field, r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
+    def from_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> "Matrix":
+        rows = tuple(vec(field, r) for r in rows)
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return Matrix(field, len(rows), ncols, tuple(rows))
+        return Matrix(field, len(rows), ncols, rows)
 
     @staticmethod
-    def from_columns(field: Field, cols: Sequence[Sequence]) -> "Matrix":
+    def from_columns(field: Field, cols: Sequence[Sequence], nrows: int) -> "Matrix":
         cols = [vec(field, c) for c in cols]
-        nrows = len(cols[0]) if cols else 0
         if any(len(c) != nrows for c in cols):
             raise ValueError("ragged columns")
         return Matrix(field, nrows, len(cols),
                       tuple(tuple(c[i] for c in cols) for i in range(nrows)))
+
+    @staticmethod
+    def from_blocks(field: Field, nrows: int, ncols: int, blocks) -> "Matrix":
+        """Zero matrix with blocks placed in it: each (rows, cols, block)
+        puts block[r, c] at (rows[r], cols[c])."""
+        out = [[field.zero] * ncols for _ in range(nrows)]
+        for rows, cols, block in blocks:
+            for r, i in enumerate(rows):
+                for c, j in enumerate(cols):
+                    out[i][j] = block[r, c]
+        return Matrix.from_rows(field, out, ncols)
 
     @staticmethod
     def zero(field: Field, nrows: int, ncols: int) -> "Matrix":
@@ -287,7 +296,7 @@ class Matrix:
                     m[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[r], m[pr])]
             pivots.append(pc)
             pr += 1
-        return Matrix.from_rows(f, m) if m else Matrix.zero(f, 0, self.ncols), tuple(pivots)
+        return Matrix.from_rows(f, m, self.ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -312,7 +321,7 @@ class Matrix:
         if len(b) != self.nrows:
             raise ValueError("right-hand side length does not match row count")
         f = self.field
-        aug = self.hstack(Matrix.from_columns(f, [b]))
+        aug = self.hstack(Matrix.from_columns(f, [b], self.nrows))
         red, pivots = aug.rref()
         if self.ncols in pivots:
             return None
@@ -417,20 +426,11 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        vectors = [vec(field, v) for v in vectors]
         if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("vector length does not match ambient dimension")
-        if not vectors:
-            return Subspace(ambient_dim, Matrix.zero(field, 0, ambient_dim))
-        red, pivots = Matrix.from_rows(field, vectors).rref()
-        rows = [red.row(i) for i in range(len(pivots))]
-        if not rows:
-            return Subspace(ambient_dim, Matrix.zero(field, 0, ambient_dim))
-        return Subspace(ambient_dim, Matrix.from_rows(field, rows))
-
-    @staticmethod
-    def from_matrix(m: Matrix) -> "Subspace":
-        return Subspace.from_vectors(m.field, m.ncols, list(m.entries))
+        red, pivots = Matrix.from_rows(field, vectors, ambient_dim).rref()
+        return Subspace(ambient_dim,
+                        Matrix(field, len(pivots), ambient_dim, red.entries[:len(pivots)]))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":

@@ -54,7 +54,7 @@ def reference_iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
                 for i in range(q):
                     cols.append([f.zero] * p
                                 + [diag[p + i] if r == po[i] else f.zero for r in range(q)])
-                cand = EvenLinearMap(g1.space, g2.space, Matrix.from_columns(f, cols))
+                cand = EvenLinearMap(g1.space, g2.space, Matrix.from_columns(f, cols, p + q))
                 if is_isomorphism(cand, g1, g2):
                     return cand
     raise SearchInconclusive("restricted-search-exhausted")
@@ -67,4 +67,4 @@ def _even_matrix_from_blocks(f: Field, p: int, q: int,
         rows.append(list(even_flat[i * p:(i + 1) * p]) + [f.zero] * q)
     for i in range(q):
         rows.append([f.zero] * p + list(odd_flat[i * q:(i + 1) * q]))
-    return Matrix.from_rows(f, rows) if rows else Matrix.zero(f, 0, 0)
+    return Matrix.from_rows(f, rows, p + q)

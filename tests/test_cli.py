@@ -2,7 +2,10 @@
 
 The golden files under tests/golden/cli hold the stdout and exit code of
 each command in manifest.json, run from the repository root; the reports
-must stay byte-identical.
+must stay byte-identical.  A case marked "artifact" is also run with
+--output, and the written file must equal <slug>.artifact.json; later
+cases read those files, so each --output is fed back into the next
+command.  Hand-written inputs (witness files) live in inputs/.
 """
 
 import json
@@ -25,12 +28,16 @@ def run(argv, capsys):
 
 
 @pytest.mark.parametrize("slug", sorted(MANIFEST))
-def test_golden_report(slug, capsys, monkeypatch):
+def test_golden_report(slug, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(REPO_ROOT)
     case = MANIFEST[slug]
-    code, out = run(case["argv"], capsys)
+    artifact = tmp_path / "artifact.json"
+    extra = ["--output", str(artifact)] if case.get("artifact") else []
+    code, out = run(case["argv"] + extra, capsys)
     assert out == (GOLDEN / f"{slug}.out").read_text()
     assert code == case["exit"]
+    if extra:
+        assert artifact.read_text() == (GOLDEN / f"{slug}.artifact.json").read_text()
 
 
 def assert_input_error(argv, capsys, message):
@@ -62,6 +69,20 @@ def test_factorset_result_not_an_object(hs_factorset, capsys):
     data["coeffs"][0]["result"] = ["1"]
     save_json(str(path), data)
     assert_input_error(["extend", str(path)], capsys, "coefficient result must be an object")
+
+
+def test_factorset_center_twist_crossing_parity(tmp_path, capsys):
+    """A center twist with a nonzero odd-to-even entry is bad input (exit 2),
+    checked like theta, not a construction error."""
+    data = {"name": "x", "field": "Q",
+            "quotient": {"name": "q", "field": "Q", "even_dim": 1, "odd_dim": 0,
+                         "theta": [["1"]], "brackets": []},
+            "center": {"even_dim": 1, "odd_dim": 1, "twist": [["1", "1"], ["0", "1"]]},
+            "coeffs": []}
+    path = tmp_path / "fs.json"
+    save_json(str(path), data)
+    assert_input_error(["extend", str(path)], capsys,
+                       "center twist must be parity-even: nonzero entry at (0, 1)")
 
 
 def test_witness_conventions_not_an_object(tmp_path, corpus_dir, algebras, capsys):

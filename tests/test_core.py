@@ -177,7 +177,7 @@ def test_multiplicative_weighted_twist(algebras):
 def test_multiplicative_detects_wrong_weight(algebras):
     t2 = algebras["t2"]
     g = HomLieSuperalgebra(t2.space, t2.brackets,
-                           Matrix.from_rows(QQ, [[2, 0], [0, 2]]))
+                           Matrix.from_rows(QQ, [[2, 0], [0, 2]], 2))
     rep = check_multiplicative(g)
     assert [fl.indices for fl in rep.failures] == [(1, 1)]
 
@@ -199,7 +199,7 @@ def test_parity_validator_flags_bad_constant():
 def test_twist_must_be_even():
     with pytest.raises(ValueError):
         HomLieSuperalgebra(SuperSpace(1, 1), {},
-                           Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+                           Matrix.from_rows(QQ, [[0, 1], [1, 0]], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +394,7 @@ def test_identity_is_a_homomorphism(algebras):
 def test_projection_hs2_to_hs(algebras):
     hs2, hs = algebras["hs2"], algebras["hs"]
     proj = EvenLinearMap(hs2.space, hs.space,
-                         Matrix.from_rows(QQ, [[1, 0, 0], [0, 0, 1]]))
+                         Matrix.from_rows(QQ, [[1, 0, 0], [0, 0, 1]], 3))
     assert check_homomorphism(proj, hs2, hs).passed
     assert not is_isomorphism(proj, hs2, hs)
 
@@ -411,7 +411,7 @@ def test_isomorphism_transports_regularity(algebras):
     t2 = algebras["t2"]
     scaled = HomLieSuperalgebra(t2.space, {(1, 1): {0: 9}}, t2.twist)
     h = EvenLinearMap(t2.space, scaled.space,
-                      Matrix.from_rows(QQ, [[1, 0], [0, Fraction(1, 3)]]))
+                      Matrix.from_rows(QQ, [[1, 0], [0, Fraction(1, 3)]], 2))
     assert is_isomorphism(h, t2, scaled)
     assert check_regular(t2) and check_regular(scaled)
 

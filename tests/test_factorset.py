@@ -43,7 +43,7 @@ def twist_escapes_complement_algebra():
     return HomLieSuperalgebra(
         SuperSpace(2, 1, ("z", "c", "f")),
         {(1, 2): {2: 1}},
-        Matrix.from_rows(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+        Matrix.from_rows(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +193,8 @@ def test_abelian_complement_gives_zero_factor_set(algebras):
 def test_t2_complement_factor_set(algebras):
     fs, _, _ = factor_set_from_complement(algebras["t2"])
     assert fs.value(0, 0) == (Fraction(1),)
-    assert fs.center_twist == Matrix.from_rows(QQ, [[4]])
-    assert fs.quotient.twist == Matrix.from_rows(QQ, [[2]])
+    assert fs.center_twist == Matrix.from_rows(QQ, [[4]], 1)
+    assert fs.quotient.twist == Matrix.from_rows(QQ, [[2]], 1)
     assert check_multiplicative_factor_set(fs)
 
 
@@ -256,8 +256,8 @@ def hs_witness(algebras, mu_scale, nu_scale):
     q, _, _ = central_quotient(hs)
     d, _ = derived_algebra(hs)
     return IsoclinismWitness(
-        EvenLinearMap(q.space, q.space, Matrix.from_rows(QQ, [[mu_scale]])),
-        EvenLinearMap(d.space, d.space, Matrix.from_rows(QQ, [[nu_scale]])))
+        EvenLinearMap(q.space, q.space, Matrix.from_rows(QQ, [[mu_scale]], 1)),
+        EvenLinearMap(d.space, d.space, Matrix.from_rows(QQ, [[nu_scale]], 1)))
 
 
 def test_identity_transport_is_identity(algebras):
@@ -309,9 +309,9 @@ def test_transport_coherence(algebras):
 
 def hs_maps(fs, q_scale, z_scale):
     qm = EvenLinearMap(fs.quotient.space, fs.quotient.space,
-                       Matrix.from_rows(QQ, [[q_scale]]))
+                       Matrix.from_rows(QQ, [[q_scale]], 1))
     zm = EvenLinearMap(fs.center_space, fs.center_space,
-                       Matrix.from_rows(QQ, [[z_scale]]))
+                       Matrix.from_rows(QQ, [[z_scale]], 1))
     shift = EvenLinearMap(fs.quotient.space, fs.center_space,
                           Matrix.zero(QQ, 1, 1))
     return qm, zm, shift
@@ -373,7 +373,7 @@ def test_center_escape_rejected(algebras):
              or (r, c) in ((pad, other), (other, pad)) else f.zero
              for c in range(d)] for r in range(d)]
     swap = EvenLinearMap(ext.algebra.space, ext.algebra.space,
-                         Matrix.from_rows(f, rows))
+                         Matrix.from_rows(f, rows, d))
     with pytest.raises(PreconditionError, match="center block"):
         extract_automorphisms(swap, ext, ext)
 
@@ -412,7 +412,7 @@ def test_nonzero_shift_roundtrip():
     f = fs.field
     # delta sends the even quotient generator e2 (index 1) to the pad
     delta_m = Matrix.zero(F3, 1, fs.quotient.dim)
-    delta_m = Matrix.from_rows(F3, [[0, 1, 0, 0]])
+    delta_m = Matrix.from_rows(F3, [[0, 1, 0, 0]], 4)
     delta = EvenLinearMap(fs.quotient.space, fs.center_space, delta_m)
     dst = shifted_factor_set(fs, delta)
     assert validate_factor_set(dst).passed

@@ -26,8 +26,8 @@ def scaled_hs_witness(algebras, mu_scale, nu_scale):
     q, _, _ = central_quotient(hs)
     d, _ = derived_algebra(hs)
     return IsoclinismWitness(
-        EvenLinearMap(q.space, q.space, Matrix.from_rows(QQ, [[mu_scale]])),
-        EvenLinearMap(d.space, d.space, Matrix.from_rows(QQ, [[nu_scale]])))
+        EvenLinearMap(q.space, q.space, Matrix.from_rows(QQ, [[mu_scale]], 1)),
+        EvenLinearMap(d.space, d.space, Matrix.from_rows(QQ, [[nu_scale]], 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_coset_compatibility_is_checked(algebras):
     d, _ = derived_algebra(hs2)
     w = IsoclinismWitness(
         EvenLinearMap(q.space, q.space, Matrix.identity(QQ, 1)),
-        EvenLinearMap(d.space, d.space, Matrix.from_rows(QQ, [[2]])))
+        EvenLinearMap(d.space, d.space, Matrix.from_rows(QQ, [[2]], 1)))
     rep = verify_isoclinism(hs2, hs2, w)
     assert not rep.passed
 
@@ -238,7 +238,7 @@ def test_search_finds_diagonal_rescaling(algebras):
     found = iso_search(t2, scaled)
     assert found is not None
     assert is_isomorphism(found, t2, scaled)
-    assert found.matrix == Matrix.from_rows(QQ, [[1, 0], [0, Fraction(1, 3)]])
+    assert found.matrix == Matrix.from_rows(QQ, [[1, 0], [0, Fraction(1, 3)]], 2)
 
 
 def test_search_budget_zero_is_inconclusive(algebras):
@@ -250,7 +250,7 @@ def test_search_over_f3_is_sound_and_complete():
     # [f,f] = e with twists diag(1,1) vs diag(1,2): provably non-isomorphic
     def alg(b):
         return HomLieSuperalgebra(SuperSpace(1, 1), {(1, 1): {0: 1}},
-                                  Matrix.from_rows(F3, [[1, 0], [0, b]]))
+                                  Matrix.from_rows(F3, [[1, 0], [0, b]], 2))
     assert iso_search(alg(1), alg(2)) is None
     # [f,f] = e vs [f,f] = 2e with equal twists: isomorphic
     g1 = alg(1)

@@ -183,7 +183,7 @@ def from_sympy(x):
 @settings(max_examples=80, deadline=None)
 @given(rational_matrices())
 def test_rref_matches_sympy(rows):
-    red, pivots = Matrix.from_rows(QQ, rows).rref()
+    red, pivots = Matrix.from_rows(QQ, rows, len(rows[0])).rref()
     s_red, s_pivots = to_sympy(rows).rref()
     assert pivots == tuple(s_pivots)
     assert typed(red.entries) == typed(
@@ -193,7 +193,7 @@ def test_rref_matches_sympy(rows):
 @settings(max_examples=80, deadline=None)
 @given(rational_matrices())
 def test_nullspace_matches_sympy(rows):
-    m = Matrix.from_rows(QQ, rows)
+    m = Matrix.from_rows(QQ, rows, len(rows[0]))
     ker = m.nullspace()
     s_ker = [[from_sympy(x) for x in v] for v in to_sympy(rows).nullspace()]
     assert ker == Subspace.from_vectors(QQ, m.ncols, s_ker)

@@ -13,11 +13,11 @@ F3 = GF(3)
 
 
 def qmat(rows):
-    return Matrix.from_rows(QQ, rows)
+    return Matrix.from_rows(QQ, rows, len(rows[0]))
 
 
 def f3mat(rows):
-    return Matrix.from_rows(F3, rows)
+    return Matrix.from_rows(F3, rows, len(rows[0]))
 
 
 # strategies: small integer matrices over Q and F_3
@@ -29,7 +29,7 @@ def matrices(field, max_dim=4, lo=-3, hi=3):
         ents = draw(st.lists(
             st.lists(st.integers(lo, hi), min_size=c, max_size=c),
             min_size=r, max_size=r))
-        return Matrix.from_rows(field, ents)
+        return Matrix.from_rows(field, ents, c)
     return st.composite(build)()
 
 
@@ -185,7 +185,7 @@ def test_complement_requires_containment():
 
 @given(matrices(QQ, max_dim=4))
 def test_complement_is_direct(m):
-    sub = Subspace.from_matrix(m)
+    sub = Subspace.from_vectors(m.field, m.ncols, m.entries)
     comp = sub.complement_in()
     assert sub.dim + comp.dim == m.ncols
     assert sub.intersect(comp).dim == 0

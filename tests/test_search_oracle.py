@@ -41,7 +41,7 @@ def g21(field):
     """span(e1, e2 | f1) of g22: [e1, e2] = 2e2, [e1, f1] = f1."""
     twist = (Matrix.identity(field, 3) if field.p is not None else
              Matrix.from_rows(field, [[1, 0, 0], [0, Fraction(3, 4), 0],
-                                      [0, 0, Fraction(1, 2)]]))
+                                      [0, 0, Fraction(1, 2)]], 3))
     return HomLieSuperalgebra(SuperSpace(2, 1), {(0, 1): {1: 2}, (0, 2): {2: 1}}, twist)
 
 
@@ -50,7 +50,7 @@ def unipotent_twist(g):
     identity twist, never conjugate to it."""
     n = g.dim
     rows = [[1 if i == j or (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)]
-    return HomLieSuperalgebra(g.space, g.brackets, Matrix.from_rows(g.field, rows))
+    return HomLieSuperalgebra(g.space, g.brackets, Matrix.from_rows(g.field, rows, n))
 
 
 def random_even(field, p, q, rng, monomial):
@@ -67,7 +67,7 @@ def random_even(field, p, q, rng, monomial):
             vals = range(field.p) if field.p is not None else (-1, 0, 1, 2)
             rows = [[rng.choice(vals) if (i < p) == (j < p) else 0
                      for j in range(p + q)] for i in range(p + q)]
-        m = Matrix.from_rows(field, rows)
+        m = Matrix.from_rows(field, rows, p + q)
         if m.is_invertible():
             return m
 
@@ -119,7 +119,7 @@ def _tier1_cases():
                      ("g22", g22(F5))], 1, 5)
     qq = _pairs(QQ, [("hs", hs(QQ)), ("t2", t2(QQ)), ("g21", g21(QQ)),
                      ("hso", hso(QQ))], 1, 7)
-    scaled = transport(hs(QQ), Matrix.from_rows(QQ, [[5, 0], [0, 1]]))
+    scaled = transport(hs(QQ), Matrix.from_rows(QQ, [[5, 0], [0, 1]], 2))
     cases = (pick(f3, "hs/refl", "t2/transport0", "hs2/unipotent", "hso/transport0",
                   "g21/transport0", "a_2_0/unipotent", "g22/refl")
              + pick(f5, "hs/transport0", "g21/transport0", "hso/refl", "g22/refl")
