@@ -8,21 +8,17 @@ from .core import (EvenLinearMap, Failure, GradedSubspace, HomLieSuperalgebra,
                    check_homomorphism, check_multiplicative, check_parity,
                    check_regular, derived, direct_sum,
                    direct_sum_with_embeddings, is_hom_ideal, is_isomorphism,
-                   is_stem, is_valid, quotient, subalgebra_on)
+                   is_stem, quotient, subalgebra_on)
 from .errors import (FormatError, HomSuperError, PreconditionError,
                      SearchInconclusive, StemDecompositionError)
 from .factorset import (ComplementSplitting, Extension, FactorSet,
-                        build_extension_isomorphism,
                         check_multiplicative_factor_set, extend,
-                        extension_map_from_witness, extract_automorphisms,
-                        extract_center_shift, factor_set_from_complement,
-                        transport_factor_set, validate_factor_set)
+                        factor_set_from_complement, validate_factor_set)
 from .isoclinism import (DEFAULT_BUDGET, IsoclinismWitness, StemDecomposition,
-                         central_quotient, compose_witnesses, derived_algebra,
-                         fingerprint, identity_witness, invert_witness,
-                         iso_search, isoclinic_decide, isoclinism_abelian_sum,
-                         isoclinism_quotient, stem_decompose,
-                         verify_isoclinism, witness_from_surjection)
+                         central_quotient, derived_algebra, fingerprint,
+                         identity_witness, iso_search, isoclinic_decide,
+                         stem_decompose, verify_isoclinism,
+                         witness_from_surjection)
 from .linalg import GF, QQ, Field, Matrix, Subspace
 
 __version__ = "0.1.0"

@@ -298,6 +298,9 @@ def cmd_quotient(args):
 def cmd_sum(args):
     g1 = _load(args, args.file_a)
     g2 = _load(args, args.file_b)
+    for path, g in ((args.file_a, g1), (args.file_b, g2)):
+        if not check_axioms(g).passed:
+            raise FormatError(f"{path} is not a valid algebra")
     s, emb1, emb2 = direct_sum_with_embeddings(g1, g2)
     if not check_axioms(s).passed:
         raise HomSuperError("direct sum failed re-validation")

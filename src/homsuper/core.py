@@ -313,10 +313,6 @@ def check_axioms(g: HomLieSuperalgebra) -> ValidationReport:
     return ValidationReport(fails)
 
 
-def is_valid(g: HomLieSuperalgebra) -> bool:
-    return check_axioms(g).passed
-
-
 # ---------------------------------------------------------------------------
 # graded subspaces
 

@@ -17,14 +17,32 @@ from typing import Iterable, Optional, Sequence
 from .errors import FormatError, PreconditionError
 
 
+#: Miller-Rabin with the first 13 primes as bases decides primality
+#: exactly below _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < _PRIME_LIMIT."""
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 
@@ -41,6 +59,8 @@ class Field:
 
     def __post_init__(self):
         if self.p is not None:
+            if self.p >= _PRIME_LIMIT:
+                raise ValueError(f"modulus {self.p} is too large: must be below {_PRIME_LIMIT}")
             if not _is_prime(self.p):
                 raise ValueError(f"modulus {self.p} is not prime")
             if self.p == 2:

@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 from homsuper import cli
-from homsuper.fileio import save_json, witness_to_dict
+from homsuper.fileio import algebra_from_dict, save_json, witness_to_dict
 from homsuper.isoclinism import identity_witness
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -103,22 +103,43 @@ def test_negative_budget_is_an_input_error(command, corpus_dir, capsys):
     assert_input_error(argv, capsys, "--budget must be non-negative")
 
 
-def test_internal_error_exits_4(tmp_path, corpus_dir, capsys):
-    """An even (3|0) algebra that passes parity but fails Jacobi
-    ([a,b]=c, [b,c]=a, [a,c]=a, identity twist) breaks the re-validation
-    of a direct sum; that is reported as JSON with exit code 4."""
-    bad = {
-        "name": "not-jacobi", "field": "Q", "even_dim": 3, "odd_dim": 0,
-        "basis_names": ["a", "b", "c"],
-        "brackets": [{"i": 0, "j": 1, "result": {"2": "1"}},
-                     {"i": 1, "j": 2, "result": {"0": "1"}},
-                     {"i": 0, "j": 2, "result": {"0": "1"}}],
-        "theta": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-    }
+#: An even (3|0) algebra that passes parity but fails Jacobi:
+#: [a,b]=c, [b,c]=a, [a,c]=a, identity twist.
+NOT_JACOBI = {
+    "name": "not-jacobi", "field": "Q", "even_dim": 3, "odd_dim": 0,
+    "basis_names": ["a", "b", "c"],
+    "brackets": [{"i": 0, "j": 1, "result": {"2": "1"}},
+                 {"i": 1, "j": 2, "result": {"0": "1"}},
+                 {"i": 0, "j": 2, "result": {"0": "1"}}],
+    "theta": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+}
+
+
+def test_sum_rejects_invalid_input(tmp_path, corpus_dir, capsys):
     path = tmp_path / "bad.json"
-    save_json(str(path), bad)
-    code, out = run(["sum", str(path), str(corpus_dir / "a_1_0.json")], capsys)
+    save_json(str(path), NOT_JACOBI)
+    assert_input_error(["sum", str(path), str(corpus_dir / "a_1_0.json")], capsys,
+                       f"{path} is not a valid algebra")
+
+
+def test_oversized_modulus_is_an_input_error(tmp_path, capsys):
+    # 2^89 - 1 is prime, but primality is decided only below 3.3e24
+    data = {"name": "big", "field": f"Fp:{2 ** 89 - 1}", "even_dim": 1, "odd_dim": 0,
+            "brackets": [], "theta": [["1"]]}
+    path = tmp_path / "big.json"
+    save_json(str(path), data)
+    assert_input_error(["check", str(path)], capsys, "is too large")
+
+
+def test_internal_error_exits_4(monkeypatch, corpus_dir, capsys):
+    """A construction that returns an invalid algebra is an internal fault:
+    a direct sum that breaks Jacobi fails re-validation and is reported as
+    JSON with exit code 4."""
+    _, bad = algebra_from_dict(NOT_JACOBI)
+    monkeypatch.setattr(cli, "direct_sum_with_embeddings", lambda g1, g2: (bad, None, None))
+    a = str(corpus_dir / "a_1_0.json")
+    code, out = run(["sum", a, a], capsys)
     assert code == cli.EXIT_INTERNAL == 4
     report = json.loads(out)
-    assert report == {"command": ["sum", f"file_a={path}", f"file_b={corpus_dir / 'a_1_0.json'}"],
+    assert report == {"command": ["sum", f"file_a={a}", f"file_b={a}"],
                       "error": "direct sum failed re-validation"}

@@ -4,18 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from reference_factorset import (build_extension_isomorphism,
+                                 extension_map_from_witness,
+                                 extract_automorphisms, extract_center_shift,
+                                 transport_factor_set)
+
 from homsuper.core import (EvenLinearMap, GradedSubspace, HomLieSuperalgebra,
                            SuperSpace, abelian, center, check_axioms,
                            check_multiplicative, check_regular, derived,
                            is_isomorphism, quotient)
 from homsuper.errors import HomSuperError, PreconditionError
 from homsuper.factorset import (ComplementSplitting, Extension, FactorSet,
-                                build_extension_isomorphism,
                                 check_multiplicative_factor_set, extend,
-                                extension_map_from_witness,
-                                extract_automorphisms, extract_center_shift,
                                 factor_set_from_complement,
-                                transport_factor_set, validate_factor_set)
+                                validate_factor_set)
 from homsuper.isoclinism import (IsoclinismWitness, central_quotient,
                                  derived_algebra, iso_search,
                                  verify_isoclinism)
@@ -56,6 +58,13 @@ def test_zero_factor_set_is_valid():
 def test_constructed_factor_sets_are_valid(algebras, corpus_name):
     fs, _, _ = factor_set_from_complement(algebras[corpus_name])
     assert validate_factor_set(fs).passed
+
+
+def test_center_twist_must_be_even():
+    # the odd center vector may not map onto the even one
+    with pytest.raises(ValueError, match=r"nonzero entry at \(0, 1\) crosses parity"):
+        FactorSet(abelian(QQ, 1, 0), SuperSpace(1, 1),
+                  Matrix.from_rows(QQ, [[1, 1], [0, 1]], 2), {})
 
 
 def test_odd_odd_skew_sign():

@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from reference_witness import (chain_witness, compose_witnesses,
+                               invert_witness, isoclinism_abelian_sum,
+                               isoclinism_quotient)
+
 from homsuper.core import (EvenLinearMap, GradedSubspace, HomLieSuperalgebra,
                            SuperSpace, abelian, center, check_regular, derived,
                            direct_sum, is_isomorphism, is_stem, quotient)
 from homsuper.errors import PreconditionError, SearchInconclusive
 from homsuper.isoclinism import (IsoclinismWitness, central_quotient,
-                                 compose_witnesses, derived_algebra,
-                                 fingerprint, identity_witness, invert_witness,
-                                 iso_search, isoclinic_decide,
-                                 isoclinism_abelian_sum, isoclinism_quotient,
-                                 stem_decompose, verify_isoclinism,
-                                 witness_from_surjection)
+                                 derived_algebra, fingerprint,
+                                 identity_witness, iso_search,
+                                 isoclinic_decide, stem_decompose,
+                                 verify_isoclinism, witness_from_surjection)
 from homsuper.linalg import GF, QQ, Matrix
 
 F3 = GF(3)
@@ -307,8 +309,42 @@ def test_witness_from_isomorphism(algebras):
     assert verify_isoclinism(t2, scaled, w).passed
 
 
+def test_witness_from_stem_embedding(algebras):
+    # hs -> hs2 = hs (+) span{c} misses the central pad c, so it is onto
+    # only modulo the center; the induced witness still verifies.
+    hs, hs2 = algebras["hs"], algebras["hs2"]
+    emb = EvenLinearMap(hs.space, hs2.space,
+                        Matrix.from_columns(QQ, [(1, 0, 0), (0, 0, 1)], 3))
+    w = witness_from_surjection(emb, hs, hs2)
+    assert verify_isoclinism(hs, hs2, w).passed
+    assert w.quotient_map.matrix == Matrix.identity(QQ, 1)
+    assert w.derived_map.matrix == Matrix.identity(QQ, 1)
+
+
+def test_witness_needs_onto_modulo_the_center(algebras):
+    # a_1_0 -> hs2 onto the pad c: a homomorphism with zero kernel, but its
+    # image plus the center span{z, c} misses the non-central f.
+    a, hs2 = algebras["a_1_0"], algebras["hs2"]
+    pad = EvenLinearMap(a.space, hs2.space, Matrix.from_columns(QQ, [(0, 1, 0)], 3))
+    with pytest.raises(PreconditionError, match="not onto modulo the center"):
+        witness_from_surjection(pad, a, hs2)
+
+
 # ---------------------------------------------------------------------------
 # decision procedure
+
+def test_decide_witness_equals_reference_chain(algebras):
+    """On every isoclinic same-field ordered corpus pair, the witness induced
+    by one homomorphism equals the five-step composite entry for entry."""
+    isoclinic = 0
+    for (n1, g1), (n2, g2) in itertools.product(sorted(algebras.items()), repeat=2):
+        if g1.field != g2.field:
+            continue
+        verdict, w = isoclinic_decide(g1, g2)
+        if verdict == "isoclinic":
+            isoclinic += 1
+            assert w == chain_witness(g1, g2), (n1, n2)
+    assert isoclinic == 29
 
 def test_decide_hs_hs2(algebras):
     verdict, w = isoclinic_decide(algebras["hs"], algebras["hs2"])

@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon forms, kernels, solving, subspace arithmetic."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsuper.errors import FormatError, PreconditionError
+from homsuper.fileio import parse_field
 from homsuper.linalg import GF, QQ, Field, Matrix, Subspace
 
 F3 = GF(3)
@@ -64,6 +66,22 @@ def test_bad_fields_rejected():
         Field(4)
     with pytest.raises(ValueError):
         Field(2)
+
+
+def test_large_prime_modulus_parses_fast():
+    start = time.perf_counter()
+    f = parse_field("Fp:100000000000031")
+    assert time.perf_counter() - start < 0.1
+    assert f == GF(100000000000031)
+
+
+@pytest.mark.parametrize("n", [561, 3215031751])
+def test_carmichael_modulus_rejected(n):
+    # 3215031751 is also a strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="not prime"):
+        Field(n)
+    with pytest.raises(FormatError, match="not prime"):
+        parse_field(f"Fp:{n}")
 
 
 @given(st.integers(-50, 50), st.integers(1, 50), st.integers(-50, 50), st.integers(1, 50))
