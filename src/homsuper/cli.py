@@ -383,10 +383,7 @@ def cmd_isoclinic(args):
     verdict, w = isoclinic_decide(g1, g2, args.budget)
     report = {"command": _echo(args), "verdict": verdict}
     if w is not None:
-        wd = witness_to_dict(w, g1, g2)
-        if not verify_isoclinism(g1, g2, w).passed:
-            raise HomSuperError("decision witness failed re-verification")
-        report["witness"] = wd
+        report["witness"] = witness_to_dict(w, g1, g2)
     if g1.space.dims == g2.space.dims:
         try:
             found = iso_search(g1, g2, args.budget)

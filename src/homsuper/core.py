@@ -20,11 +20,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .linalg import (Field, Matrix, Subspace, basis_vec, vec_add, vec_is_zero,
-                     vec_scale, zero_vec)
+from .linalg import (Field, Matrix, Subspace, _dense_vec, _sparse_vec, basis_vec,
+                     vec_is_zero, vec_scale, zero_vec)
 
 EVEN, ODD = 0, 1
 
@@ -88,6 +89,13 @@ class GradedBilinearTable:
     (i, j) is sum_k c t_k.  Only i <= j is stored and zeros are dropped;
     an i > j value derives from (j, i) by graded skew-symmetry, unless an
     i > j cell was injected, which is kept for the validators to flag.
+
+    `rows` is the row index the kernels walk: rows[i] maps every j with a
+    nonzero value on (i, j) to (sign, cell), and that value is sign * cell.
+    The index refers to the stored cell dicts and never copies them: a
+    stored cell appears with sign 1, a derived i > j value as the (j, i)
+    dict with its sign -(-1)^{|i||j|}, and an injected i > j cell as
+    itself, as `cell` reads it.  It is built on first use.
     """
 
     field: Field
@@ -107,11 +115,22 @@ class GradedBilinearTable:
                 if not 0 <= k < dt:
                     raise ValueError(f"value index {k} out of range")
                 cv = f.of(v)
-                if cv != 0:
+                if cv:
                     clean[k] = cv
             if clean:
                 norm[(i, j)] = clean
         object.__setattr__(self, "cells", norm)
+
+    @cached_property
+    def rows(self) -> tuple:
+        f = self.field
+        par = self.source.parity
+        rows = [{} for _ in range(self.source.dim)]
+        for (i, j), cell in self.cells.items():
+            rows[i][j] = (f.one, cell)
+            if i < j and (j, i) not in self.cells:
+                rows[j][i] = (f.neg(koszul_sign(f, par(i), par(j))), cell)
+        return tuple({j: row[j] for j in sorted(row)} for row in rows)
 
     def cell(self, i: int, j: int) -> dict:
         """The sparse value on the pair (i, j)."""
@@ -125,27 +144,24 @@ class GradedBilinearTable:
 
     def value(self, i: int, j: int) -> tuple:
         """The value on the pair (i, j) as a target-coordinate vector."""
-        out = [self.field.zero] * self.target.dim
-        for k, v in self.cell(i, j).items():
-            out[k] = v
-        return tuple(out)
+        return _dense_vec(self.field, self.target.dim, self.cell(i, j))
 
     def eval(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear extension to whole source-coordinate vectors."""
         f = self.field
+        add, mul = f.add, f.mul
+        rows = self.rows
         out = [f.zero] * self.target.dim
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
+            for j, (s, cell) in rows[i].items():
+                yj = y[j]
+                if not yj:
                     continue
-                cell = self.cell(i, j)
-                if not cell:
-                    continue
-                c = f.mul(xi, yj)
+                c = mul(mul(xi, yj), s)
                 for k, v in cell.items():
-                    out[k] = f.add(out[k], f.mul(c, v))
+                    out[k] = add(out[k], mul(c, v))
         return tuple(out)
 
     def parity_failures(self, axiom: str) -> tuple:
@@ -162,23 +178,23 @@ class GradedBilinearTable:
 
     def skew_failures(self, axiom: str) -> tuple:
         """Pairs breaking t(i, j) = -(-1)^{|i||j|} t(j, i), derived values
-        included; even diagonal values are forced to vanish."""
+        included; even diagonal values are forced to vanish.  Only a stored
+        even diagonal cell or an injected i > j cell can break it, so only
+        the stored pairs i >= j are visited, in the order (i, j)."""
         f = self.field
-        zero = zero_vec(f, self.target.dim)
+        par = self.source.parity
         fails = []
-        for i in range(self.source.dim):
-            for j in range(i + 1):
-                if i == j:
-                    if self.source.parity(i) == EVEN:
-                        v = self.value(i, i)
-                        if not vec_is_zero(v):
-                            fails.append(Failure(axiom, (i, i), v, zero))
-                    continue
-                lhs = self.value(i, j)
-                s = f.neg(koszul_sign(f, self.source.parity(i), self.source.parity(j)))
-                rhs = vec_scale(f, s, self.value(j, i))
-                if lhs != rhs:
-                    fails.append(Failure(axiom, (i, j), lhs, rhs))
+        for (i, j) in sorted(key for key in self.cells if key[0] >= key[1]):
+            if i == j:
+                if par(i) == EVEN:
+                    fails.append(Failure(axiom, (i, i), self.value(i, i),
+                                         zero_vec(f, self.target.dim)))
+                continue
+            lhs = self.value(i, j)
+            s = f.neg(koszul_sign(f, par(i), par(j)))
+            rhs = vec_scale(f, s, self.value(j, i))
+            if lhs != rhs:
+                fails.append(Failure(axiom, (i, j), lhs, rhs))
         return tuple(fails)
 
 
@@ -261,25 +277,48 @@ def check_graded_skew(g: HomLieSuperalgebra) -> ValidationReport:
 
 def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
     """Twisted Jacobi identity on all ordered basis triples i <= j <= k
-    (sufficient given trilinearity and graded skew-symmetry)."""
+    (sufficient given trilinearity and graded skew-symmetry).
+
+    The triple's sum is sgn * [theta(b_a), [b_b, b_c]] over its three
+    cyclic terms; a triple whose inner brackets [b_j, b_k], [b_i, b_j] and
+    [b_k, b_i] all vanish is zero and skipped.  The rest is accumulated
+    over the nonzero cells of the row index and sparse twist columns."""
     f = g.field
+    add, mul = f.add, f.mul
     d = g.dim
-    zero = zero_vec(f, d)
-    theta_col = [g.twist.col(i) for i in range(d)]
-    e = [basis_vec(f, d, i) for i in range(d)]
+    rows = g.table.rows
+    par = [g.space.parity(t) for t in range(d)]
+    theta_col = [_sparse_vec(g.twist.col(a)) for a in range(d)]
     fails = []
     for i in range(d):
         for j in range(i, d):
+            ij = rows[i].get(j)
             for k in range(j, d):
-                pi, pj, pk = (g.space.parity(t) for t in (i, j, k))
-                total = zero
-                for (a, b, c), sgn in (((i, j, k), koszul_sign(f, pi, pk)),
-                                       ((k, i, j), koszul_sign(f, pk, pj)),
-                                       ((j, k, i), koszul_sign(f, pj, pi))):
-                    term = g.bracket(theta_col[a], g.bracket(e[b], e[c]))
-                    total = vec_add(f, total, vec_scale(f, sgn, term))
-                if not vec_is_zero(total):
-                    fails.append(Failure("hom-jacobi", (i, j, k), total, zero))
+                jk = rows[j].get(k)
+                ki = rows[k].get(i)
+                if ij is None and jk is None and ki is None:
+                    continue
+                total = {}
+                for a, inner, sgn in ((i, jk, koszul_sign(f, par[i], par[k])),
+                                      (k, ij, koszul_sign(f, par[k], par[j])),
+                                      (j, ki, koszul_sign(f, par[j], par[i]))):
+                    if inner is None:
+                        continue
+                    s_in, cell_in = inner
+                    s_in = mul(sgn, s_in)
+                    for m, v in cell_in.items():
+                        sv = mul(s_in, v)
+                        for l, t in theta_col[a]:
+                            outer = rows[l].get(m)
+                            if outer is None:
+                                continue
+                            s_out, cell_out = outer
+                            c = mul(mul(t, sv), s_out)
+                            for n, u in cell_out.items():
+                                total[n] = add(total.get(n, f.zero), mul(c, u))
+                if any(total.values()):
+                    fails.append(Failure("hom-jacobi", (i, j, k),
+                                         _dense_vec(f, d, total), zero_vec(f, d)))
     return ValidationReport(tuple(fails))
 
 
@@ -468,22 +507,24 @@ class EvenLinearMap:
 
 def center(g: HomLieSuperalgebra) -> GradedSubspace:
     """Z(G) = {x : [x, y] = 0 for all y}, as the kernel of the stacked
-    adjoint maps x -> [x, b_j]."""
+    adjoint maps x -> [x, b_j]; only their nonzero rows are assembled."""
     f = g.field
     d = g.dim
-    rows = []
-    for j in range(d):
-        cols = [g.basis_bracket(i, j) for i in range(d)]
-        for k in range(d):
-            rows.append([cols[i][k] for i in range(d)])
-    m = Matrix.from_rows(f, rows, d)
+    rows = {}
+    for i, row in enumerate(g.table.rows):
+        for j, (s, cell) in row.items():
+            for k, v in cell.items():
+                rows.setdefault((j, k), [f.zero] * d)[i] = f.mul(s, v)
+    m = Matrix.from_rows(f, [rows[jk] for jk in sorted(rows)], d)
     return GradedSubspace.from_subspace(g.space, m.nullspace())
 
 
 def derived(g: HomLieSuperalgebra) -> GradedSubspace:
     """Span of all brackets of basis pairs, split by parity."""
     f = g.field
-    vecs = [g.basis_bracket(i, j) for i in range(g.dim) for j in range(i, g.dim)]
+    vecs = [_dense_vec(f, g.dim, cell)
+            for i, row in enumerate(g.table.rows)
+            for j, (_, cell) in row.items() if i <= j]
     sub = Subspace.from_vectors(f, g.dim, vecs)
     return GradedSubspace.from_subspace(g.space, sub)
 

@@ -28,7 +28,7 @@ from .core import (EVEN, ODD, EvenLinearMap, Failure, GradedSubspace,
                    is_stem, quotient, subalgebra_on)
 from .errors import (PreconditionError, SearchInconclusive,
                      StemDecompositionError)
-from .linalg import Field, Matrix, Subspace, basis_vec
+from .linalg import Field, Matrix, Subspace, _sparse_vec, basis_vec
 
 DEFAULT_BUDGET = 200_000
 
@@ -362,11 +362,11 @@ def _pruned_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     d = p + q
     twists = [(g1.twist.submatrix(idx, idx), g2.twist.submatrix(idx, idx))
               for idx in (range(p), range(p, d))]
-    table = [[_sparse(g2.basis_bracket(a, b)) for b in range(d)] for a in range(d)]
+    table = [[_sparse_vec(g2.basis_bracket(a, b)) for b in range(d)] for a in range(d)]
     even_rel, rest_rel = [], []
     for i in range(d):
         for j in range(i, d):
-            rel = (i, j, _sparse(g1.basis_bracket(i, j)))
+            rel = (i, j, _sparse_vec(g1.basis_bracket(i, j)))
             pure_even = j < p and all(k < p for k, _ in rel[2])
             (even_rel if pure_even else rest_rel).append(rel)
 
@@ -419,10 +419,6 @@ def _pruned_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
                     raise RuntimeError("pruned search accepted a non-isomorphism")
                 return cand
     return None
-
-
-def _sparse(v: Sequence) -> tuple:
-    return tuple((k, x) for k, x in enumerate(v) if x != 0)
 
 
 def _block_column(block: tuple, i: int, off: int) -> tuple:

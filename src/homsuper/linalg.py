@@ -176,7 +176,20 @@ def vec_scale(field: Field, c, a: Sequence) -> tuple:
 
 
 def vec_is_zero(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
+
+
+def _sparse_vec(a: Sequence) -> tuple:
+    """The nonzero entries of a as (index, value) pairs."""
+    return tuple((k, x) for k, x in enumerate(a) if x)
+
+
+def _dense_vec(field: Field, n: int, entries: dict) -> tuple:
+    """The length-n vector with the given {index: value} entries."""
+    out = [field.zero] * n
+    for k, x in entries.items():
+        out[k] = x
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -428,7 +441,7 @@ class Matrix:
 def _dot(field: Field, a: Sequence, b: Sequence):
     s = field.zero
     for x, y in zip(a, b):
-        if x != 0 and y != 0:
+        if x and y:
             s = field.add(s, field.mul(x, y))
     return s
 

@@ -13,7 +13,8 @@ import pathlib
 
 import pytest
 
-from homsuper import cli
+from homsuper import cli, isoclinism
+from homsuper.core import Failure, ValidationReport
 from homsuper.fileio import algebra_from_dict, save_json, witness_to_dict
 from homsuper.isoclinism import identity_witness
 
@@ -143,3 +144,18 @@ def test_internal_error_exits_4(monkeypatch, corpus_dir, capsys):
     report = json.loads(out)
     assert report == {"command": ["sum", f"file_a={a}", f"file_b={a}"],
                       "error": "direct sum failed re-validation"}
+
+
+def test_decide_witness_failing_verification_exits_4(monkeypatch, corpus_dir, capsys):
+    """isoclinic_decide verifies its own witness; the CLI does not verify it
+    again, so a witness failing inside decide must still reach the report
+    as an internal fault: JSON with exit code 4."""
+    failing = ValidationReport((Failure("twist-intertwine", (0,), (), ()),))
+    monkeypatch.setattr(isoclinism, "verify_isoclinism", lambda g1, g2, w: failing)
+    hs = str(corpus_dir / "hs.json")
+    code, out = run(["isoclinic", hs, hs, "--decide"], capsys)
+    assert code == cli.EXIT_INTERNAL == 4
+    report = json.loads(out)
+    assert report == {"command": ["isoclinic", f"file_a={hs}", f"file_b={hs}",
+                                  "budget=200000", "decide"],
+                      "error": "isoclinism witness failed verification"}
