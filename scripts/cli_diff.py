@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Compare the CLI reports of a base commit with those of the working tree.
+
+    python3 scripts/cli_diff.py [--base HEAD]
+
+The base commit is extracted with `git archive`, as scripts/bench.py
+does; the working tree is run in place.  Each side runs the same fixed
+list of `python -m homsuper.cli` calls in subprocesses, from a scratch
+directory holding a copy of its own corpus/, so that the file names echoed
+in the reports agree:
+
+  * check, invariants, stem-decompose (JSON with --output, and text) and
+    factorset -> extend -> check, chained through --output files, on every
+    corpus file;
+  * quotient by each basis vector, by name where the file names its basis
+    and by coordinates otherwise;
+  * iso-search and isoclinic --decide on every ordered pair of corpus
+    files over the same field.
+
+Every call whose stdout, exit code or --output bytes differ between the
+two sides is printed, and the script exits 1 if any differ, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+from bench import ROOT, extract
+
+
+def cases(corpus: Path) -> list:
+    """Chains of argv lists.  The calls of a chain run in order, each
+    reading the --output file of the one before it."""
+    files = {p.stem: json.loads(p.read_text()) for p in sorted(corpus.glob("*.json"))}
+    chains = []
+    for name, data in files.items():
+        path = f"corpus/{name}.json"
+        fs, ext = f"out/{name}.factorset.json", f"out/{name}.extension.json"
+        chains += [[["check", path]], [["invariants", path]],
+                   [["stem-decompose", path, "--output", f"out/{name}.stem.json"]],
+                   [["stem-decompose", path, "--format", "text"]],
+                   [["factorset", path, "--output", fs], ["extend", fs, "--output", ext],
+                    ["check", ext]]]
+        dim = data["even_dim"] + data["odd_dim"]
+        names = data.get("basis_names")
+        for i in range(dim):
+            ideal = names[i] if names else ",".join("1" if j == i else "0" for j in range(dim))
+            chains.append([["quotient", path, "--ideal", ideal,
+                            "--output", f"out/{name}.quotient{i}.json"]])
+    for a, da in files.items():
+        for b, db in files.items():
+            if da["field"] == db["field"]:
+                pair = [f"corpus/{a}.json", f"corpus/{b}.json"]
+                chains += [[["iso-search", *pair]], [["isoclinic", *pair, "--decide"]]]
+    return chains
+
+
+def run_side(tree: Path, work: Path, chains: list) -> list:
+    """(exit code, stdout, --output bytes or None) of every call, by chain."""
+    shutil.copytree(tree / "corpus", work / "corpus")
+    (work / "out").mkdir()
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+    def run_chain(chain):
+        results = []
+        for argv in chain:
+            proc = subprocess.run([sys.executable, "-m", "homsuper.cli", *argv],
+                                  cwd=work, env=env, capture_output=True)
+            out = work / argv[argv.index("--output") + 1] if "--output" in argv else None
+            written = out.read_bytes() if out is not None and out.exists() else None
+            results.append((proc.returncode, proc.stdout, written))
+        return results
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        return list(pool.map(run_chain, chains))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    args = parser.parse_args(argv)
+    chains = cases(ROOT / "corpus")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "tree").mkdir()
+        extract(args.base, tmp / "tree")
+        base = run_side(tmp / "tree", tmp / "base", chains)
+        change = run_side(ROOT, tmp / "change", chains)
+    total = differ = 0
+    for chain, base_runs, change_runs in zip(chains, base, change):
+        for argv, b, c in zip(chain, base_runs, change_runs):
+            total += 1
+            what = [name for name, x, y in zip(("exit code", "stdout", "--output"), b, c)
+                    if x != y]
+            if what:
+                differ += 1
+                print(f"{' '.join(argv)}: {', '.join(what)} differ "
+                      f"(exit {b[0]} at {args.base}, {c[0]} in the working tree)")
+    print(f"{differ} of {total} calls differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,7 @@ from .core import (EvenLinearMap, Failure, GradedSubspace, HomLieSuperalgebra,
                    direct_sum_with_embeddings, is_hom_ideal, is_isomorphism,
                    is_stem, quotient, subalgebra_on)
 from .errors import (FormatError, HomSuperError, PreconditionError,
-                     SearchInconclusive, StemDecompositionError)
+                     SearchInconclusive)
 from .factorset import (ComplementSplitting, Extension, FactorSet,
                         check_multiplicative_factor_set, extend,
                         factor_set_from_complement, validate_factor_set)

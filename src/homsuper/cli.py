@@ -13,7 +13,8 @@ Subcommands wrap every library capability:
   iso-search       search for a twist-intertwining isomorphism
 
 Exit codes: 0 success/true, 1 checked-false or failed precondition,
-2 input error, 3 inconclusive, 4 internal error (a constructed object
+2 input error (every command but check also rejects an algebra file that
+fails the axioms), 3 inconclusive, 4 internal error (a constructed object
 failed re-validation, or an input the checks let through broke a
 construction).  Reports are byte-deterministic JSON
 (or --format text); --output writes the primary constructed object so
@@ -30,7 +31,7 @@ from .core import (GradedSubspace, HomLieSuperalgebra, center, check_axioms,
                    check_parity, check_regular, derived,
                    direct_sum_with_embeddings, is_stem, quotient)
 from .errors import (FormatError, HomSuperError, PreconditionError,
-                     SearchInconclusive, StemDecompositionError)
+                     SearchInconclusive)
 from .factorset import (check_multiplicative_factor_set, extend,
                         factor_set_from_complement, validate_factor_set)
 from .fileio import (algebra_to_dict, dumps_canonical, factorset_to_dict,
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         _emit(args, {"command": _echo(args), "error": str(exc)})
         return EXIT_INPUT
-    except (PreconditionError, StemDecompositionError) as exc:
+    except PreconditionError as exc:
         _emit(args, {"command": _echo(args), "error": str(exc)})
         return EXIT_FALSE
     except SearchInconclusive as exc:
@@ -173,10 +174,14 @@ def _text_lines(obj, prefix):
 
 
 def _load(args, path) -> HomLieSuperalgebra:
+    """Read an algebra file; every command but `check` also requires the
+    axioms, so an invalid algebra is an input error (exit 2)."""
     name, g = load_algebra(path)
     if args.field and g.field.name != args.field:
         raise FormatError(
             f"{path} is over {g.field.name}, but --field {args.field} was required")
+    if args.subcommand != "check" and not check_axioms(g).passed:
+        raise FormatError(f"{path} is not a valid algebra")
     return g
 
 
@@ -239,8 +244,7 @@ def cmd_check(args):
 
 def cmd_invariants(args):
     g = _load(args, args.file)
-    if not (check_axioms(g).passed and check_multiplicative(g).passed
-            and check_regular(g)):
+    if not (check_multiplicative(g).passed and check_regular(g)):
         raise FormatError(f"{args.file} is not a valid multiplicative regular algebra")
     report = {
         "command": _echo(args),
@@ -298,9 +302,6 @@ def cmd_quotient(args):
 def cmd_sum(args):
     g1 = _load(args, args.file_a)
     g2 = _load(args, args.file_b)
-    for path, g in ((args.file_a, g1), (args.file_b, g2)):
-        if not check_axioms(g).passed:
-            raise FormatError(f"{path} is not a valid algebra")
     s, emb1, emb2 = direct_sum_with_embeddings(g1, g2)
     if not check_axioms(s).passed:
         raise HomSuperError("direct sum failed re-validation")

@@ -360,7 +360,9 @@ class GradedSubspace:
     """A parity-homogeneous subspace, stored as its even and odd parts.
 
     The even part lives in the even coordinate block (ambient even_dim),
-    the odd part in the odd block; both bases are in RREF.
+    the odd part in the odd block; both bases are in RREF.  Membership,
+    coordinates and complements are answered block by block, so no
+    question about the subspace needs a full-space RREF.
     """
 
     even: Subspace
@@ -446,6 +448,23 @@ class GradedSubspace:
     def contains_vector(self, v: Sequence) -> bool:
         p, q = self.ambient_dims
         return self.even.contains_vector(v[:p]) and self.odd.contains_vector(v[p:])
+
+    def coordinates_of(self, v: Sequence) -> Optional[tuple]:
+        """Coefficients of v over full_basis_vectors(), even ones first;
+        None when v lies outside.
+
+        full_basis_vectors() is already the RREF basis of the embedded
+        subspace (even pivots precede odd ones, and each block is in RREF),
+        so these are the coordinates over to_subspace() without its RREF.
+        """
+        p = self.even.ambient_dim
+        even = self.even.coordinates_of(v[:p])
+        if even is None:
+            return None
+        odd = self.odd.coordinates_of(v[p:])
+        if odd is None:
+            return None
+        return even + odd
 
     def contains(self, other: "GradedSubspace") -> bool:
         return self.even.contains(other.even) and self.odd.contains(other.odd)
@@ -542,12 +561,11 @@ def is_hom_ideal(g: HomLieSuperalgebra, k: GradedSubspace) -> bool:
     if k.ambient_dims != g.space.dims:
         raise ValueError("subspace does not live in the algebra's space")
     f = g.field
-    kf = k.to_subspace()
     for v in k.full_basis_vectors():
-        if not kf.contains_vector(g.theta(v)):
+        if not k.contains_vector(g.theta(v)):
             return False
         for j in range(g.dim):
-            if not kf.contains_vector(g.bracket(v, basis_vec(f, g.dim, j))):
+            if not k.contains_vector(g.bracket(v, basis_vec(f, g.dim, j))):
                 return False
     return True
 
@@ -648,23 +666,27 @@ def subalgebra_on(g: HomLieSuperalgebra, k: GradedSubspace):
     """Induced algebra on a bracket-closed, twist-invariant graded subspace.
 
     Returns (subalgebra, inclusion map).  The coordinates are the RREF
-    basis of k, even vectors first.
+    basis of k, even vectors first.  Each twist image and bracket of basis
+    vectors is computed once and expressed in those coordinates; one that
+    leaves k raises PreconditionError, the twist images checked first.
     """
     f = g.field
-    kf = k.to_subspace()
     vecs = k.full_basis_vectors()
+    tw_cols = []
     for v in vecs:
-        if not kf.contains_vector(g.theta(v)):
+        coords = k.coordinates_of(g.theta(v))
+        if coords is None:
             raise PreconditionError("subspace is not twist-invariant")
+        tw_cols.append(coords)
+    brackets = {}
     for a, va in enumerate(vecs):
-        for vb in vecs[a:]:
-            if not kf.contains_vector(g.bracket(va, vb)):
+        for b in range(a, len(vecs)):
+            coords = k.coordinates_of(g.bracket(va, vecs[b]))
+            if coords is None:
                 raise PreconditionError("subspace is not closed under the bracket")
+            brackets[(a, b)] = dict(enumerate(coords))
     space = SuperSpace(k.even.dim, k.odd.dim)
-    brackets = {(a, b): dict(enumerate(kf.coordinates_of(g.bracket(vecs[a], vecs[b]))))
-                for a in range(len(vecs)) for b in range(a, len(vecs))}
-    twist = Matrix.from_columns(f, [kf.coordinates_of(g.theta(v)) for v in vecs], k.dim)
-    alg = HomLieSuperalgebra(space, brackets, twist)
+    alg = HomLieSuperalgebra(space, brackets, Matrix.from_columns(f, tw_cols, k.dim))
     incl = EvenLinearMap(space, g.space, Matrix.from_columns(f, vecs, g.dim))
     return alg, incl
 

@@ -13,10 +13,6 @@ class PreconditionError(HomSuperError):
     """An operation was called on inputs violating its contract."""
 
 
-class StemDecompositionError(HomSuperError):
-    """The deterministic strategy found no twist-invariant complement."""
-
-
 class SearchInconclusive(HomSuperError):
     """Isomorphism search ended without a definitive answer.
 

@@ -203,10 +203,9 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
         if w.ambient_dims != g.space.dims or z.intersect(w).dim != 0 \
                 or z.dim + w.dim != g.dim:
             raise PreconditionError("supplied subspace is not a complement of the center")
-    wfull = w.to_subspace()
     for v in w.full_basis_vectors():
         tv = g.theta(v)
-        if not wfull.contains_vector(tv):
+        if not w.contains_vector(tv):
             raise PreconditionError(
                 "twist does not preserve the complement; witness vector "
                 + str([f.fmt(x) for x in tv]))
@@ -215,20 +214,19 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
     sect = EvenLinearMap(qalg.space, g.space, Matrix.from_columns(f, reps, g.dim))
     zvecs = z.full_basis_vectors()
     center_sp = SuperSpace(z.even.dim, z.odd.dim)
-    zfull = z.to_subspace()
     tw_cols = []
     for zv in zvecs:
-        tzv = g.theta(zv)
-        if not zfull.contains_vector(tzv):
+        coords = z.coordinates_of(g.theta(zv))
+        if coords is None:
             raise PreconditionError("twist does not preserve the center")
-        tw_cols.append(zfull.coordinates_of(tzv))
+        tw_cols.append(coords)
     center_twist = Matrix.from_columns(f, tw_cols, z.dim)
     coeffs = {}
     for a in range(qalg.dim):
         for b in range(a, qalg.dim):
             val = vec_sub(f, g.bracket(reps[a], reps[b]),
                           sect(qalg.basis_bracket(a, b)))
-            coords = zfull.coordinates_of(val)
+            coords = z.coordinates_of(val)
             if coords is None:
                 raise HomSuperError("factor set value escaped the center")
             coeffs[(a, b)] = dict(enumerate(coords))

@@ -214,10 +214,6 @@ def load_factorset(path: str):
 # ---------------------------------------------------------------------------
 # witness files
 
-def _map_to_lists(m: EvenLinearMap) -> list:
-    return matrix_to_lists(m.matrix)
-
-
 def witness_to_dict(w: IsoclinismWitness, g1: HomLieSuperalgebra,
                     g2: HomLieSuperalgebra) -> dict:
     """Serialize a witness together with the deterministic basis

@@ -26,9 +26,8 @@ from .core import (EVEN, ODD, EvenLinearMap, Failure, GradedSubspace,
                    check_homomorphism, check_multiplicative, check_regular,
                    derived, direct_sum_with_embeddings, is_isomorphism,
                    is_stem, quotient, subalgebra_on)
-from .errors import (PreconditionError, SearchInconclusive,
-                     StemDecompositionError)
-from .linalg import Field, Matrix, Subspace, _sparse_vec, basis_vec
+from .errors import PreconditionError, SearchInconclusive
+from .linalg import Field, Matrix, _sparse_vec, basis_vec
 
 DEFAULT_BUDGET = 200_000
 
@@ -111,12 +110,11 @@ def verify_isoclinism(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     if fails:
         return ValidationReport(tuple(fails))
     f = g1.field
-    d1full = d1sub.to_subspace()
     # commuting square: brackets of representatives, pushed both ways.
     for i in range(q1.dim):
         for j in range(i, q1.dim):
             sig = g1.bracket(sect1.matrix.col(i), sect1.matrix.col(j))
-            coords = d1full.coordinates_of(sig)
+            coords = d1sub.coordinates_of(sig)
             lhs = incl2(w.derived_map(coords))
             rhs = g2.bracket(sect2(w.quotient_map(basis_vec(f, q1.dim, i))),
                              sect2(w.quotient_map(basis_vec(f, q1.dim, j))))
@@ -160,12 +158,12 @@ def witness_from_surjection(f: EvenLinearMap, g1: HomLieSuperalgebra,
         raise PreconditionError("kernel meets the derived subalgebra")
     q1, _, sect1 = central_quotient(g1)
     d1alg, incl1 = derived_algebra(g1)
-    d2alg, _ = derived_algebra(g2)
-    d2full = derived(g2).to_subspace()
+    d2sub = derived(g2)
+    d2alg, _ = subalgebra_on(g2, d2sub)
     fl = g1.field
     mu_cols = [proj2(f(sect1.matrix.col(i))) for i in range(q1.dim)]
     mu = EvenLinearMap(q1.space, q2.space, Matrix.from_columns(fl, mu_cols, q2.dim))
-    nu_cols = [d2full.coordinates_of(f(incl1.matrix.col(a))) for a in range(d1alg.dim)]
+    nu_cols = [d2sub.coordinates_of(f(incl1.matrix.col(a))) for a in range(d1alg.dim)]
     nu = EvenLinearMap(d1alg.space, d2alg.space, Matrix.from_columns(fl, nu_cols, d2alg.dim))
     return IsoclinismWitness(mu, nu)
 
@@ -193,37 +191,20 @@ def stem_decompose(g: HomLieSuperalgebra) -> StemDecomposition:
     """Split off a maximal central abelian summand.
 
     Deterministic strategy: complement Z(G) ∩ G' inside Z(G) to get the
-    abelian part A, then extend G' greedily to a complement of A.  Both
-    pieces must be twist-invariant; failure of the greedy choice is
+    abelian part A, then extend G' by the greedy complement of G' + A to
+    get the stem part P.  Both pieces must be twist-invariant: when a
+    greedy choice is not, `subalgebra_on` raises PreconditionError
+    ("subspace is not twist-invariant"), A checked first; the choice is
     reported rather than repaired.
     """
     _require_regular(g, "algebra")
     f = g.field
     z = center(g)
     dsub = derived(g)
-    c = z.intersect(dsub)
-    a = c.complement_in(z)
-    afull = a.to_subspace()
-    for v in a.full_basis_vectors():
-        if not afull.contains_vector(g.theta(v)):
-            raise StemDecompositionError(
-                "greedy central complement is not twist-invariant")
-    # extend the derived subalgebra to a complement of A.
-    combined = (dsub + a).to_subspace()
-    extra = []
-    for i in range(g.dim):
-        e = basis_vec(f, g.dim, i)
-        if not combined.contains_vector(e):
-            extra.append(e)
-            combined = combined + Subspace.from_vectors(f, g.dim, [e])
-    p0 = GradedSubspace.from_vectors(f, g.space, extra) + dsub
-    p0full = p0.to_subspace()
-    for v in p0.full_basis_vectors():
-        if not p0full.contains_vector(g.theta(v)):
-            raise StemDecompositionError(
-                "greedy stem complement is not twist-invariant")
-    stem_part, _ = subalgebra_on(g, p0)
+    a = z.intersect(dsub).complement_in(z)
+    p0 = (dsub + a).complement_in() + dsub
     abelian_part, _ = subalgebra_on(g, a)
+    stem_part, _ = subalgebra_on(g, p0)
     s, emb_p, emb_a = direct_sum_with_embeddings(stem_part, abelian_part)
     basis = Matrix.from_columns(f, p0.full_basis_vectors() + a.full_basis_vectors(), g.dim)
     coords = basis.inverse()
@@ -265,8 +246,7 @@ def fingerprint(g: HomLieSuperalgebra) -> tuple:
 
 
 def iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
-               budget: int = DEFAULT_BUDGET,
-               scalars: Sequence = DEFAULT_SCALARS) -> Optional[EvenLinearMap]:
+               budget: int = DEFAULT_BUDGET) -> Optional[EvenLinearMap]:
     """Search for a twist-intertwining isomorphism g1 -> g2.
 
     Returns a verified isomorphism, or None when provably none exists.
@@ -277,7 +257,7 @@ def iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     lexicographically smallest isomorphism.  Over the rationals only
     fingerprint pruning plus a restricted family of maps is tried:
     parity-preserving permutations composed with diagonal scalings drawn
-    from `scalars`, ordered by even permutation, odd permutation, even
+    from DEFAULT_SCALARS, ordered by even permutation, odd permutation, even
     diagonal, odd diagonal.  Exhausting that family is not a proof of
     absence, so SearchInconclusive is raised instead of returning None.
 
@@ -302,9 +282,7 @@ def iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
         elems = tuple(f.elements())
         return _pruned_search(g1, g2, budget, _prime_field_blocks(elems, p, q),
                               len(elems) ** (q * q))
-    scalars = tuple(f.of(c) for c in scalars)
-    if any(c == 0 for c in scalars):
-        raise ValueError("diagonal scalars must be nonzero")
+    scalars = tuple(f.of(c) for c in DEFAULT_SCALARS)
     found = _pruned_search(g1, g2, budget, _monomial_blocks(f, scalars, p, q),
                            len(scalars) ** q)
     if found is None:

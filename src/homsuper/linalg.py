@@ -131,9 +131,6 @@ class Field:
             raise ZeroDivisionError(f"division by zero in {self.name}")
         return 1 / a if self.p is None else pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self):
         """All field elements in canonical order; only finite fields."""
         if self.p is None:
@@ -246,18 +243,6 @@ class Matrix:
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._compat(other)
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(vec_add(f, a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._compat(other)
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(vec_sub(f, a, b) for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
         return self.scale(self.field.neg(self.field.one))
@@ -432,10 +417,6 @@ class Matrix:
                 new.append(s)
             poly = new
         return tuple(poly)
-
-    def _compat(self, other: "Matrix"):
-        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("incompatible matrices")
 
 
 def _dot(field: Field, a: Sequence, b: Sequence):

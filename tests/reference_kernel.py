@@ -13,12 +13,23 @@ axioms on every basis pair and triple, without the table's row index:
 `reference_validate_factor_set`, `reference_center` and
 `reference_derived`.  The sparse versions in `homsuper` must give the same
 failure tuples, entry types included, and the same subspaces.
+
+`reference_stem_decompose` extends the derived subalgebra by its own
+greedy walk over the standard basis, checks twist invariance with its own
+loops, and builds the induced algebras through `reference_subalgebra_on`,
+which checks membership and then computes coordinates over the full-space
+RREF of the subspace.  `stem_decompose` must give the same stem part,
+abelian part and isomorphism, or raise PreconditionError when it does.
 """
 
 from fractions import Fraction
 
-from homsuper.core import (EVEN, Failure, GradedSubspace, SuperSpace,
-                           ValidationReport, koszul_sign)
+from homsuper.core import (EVEN, EvenLinearMap, Failure, GradedSubspace,
+                           HomLieSuperalgebra, SuperSpace, ValidationReport, center,
+                           derived, direct_sum_with_embeddings, is_isomorphism,
+                           is_stem, koszul_sign)
+from homsuper.errors import PreconditionError
+from homsuper.isoclinism import StemDecomposition, _require_regular
 from homsuper.linalg import (Field, Matrix, Subspace, basis_vec, vec_add, vec_is_zero,
                              vec_scale, vec_sub, zero_vec)
 
@@ -171,3 +182,65 @@ def reference_derived(g) -> GradedSubspace:
     vecs = [g.basis_bracket(i, j) for i in range(g.dim) for j in range(i, g.dim)]
     sub = Subspace.from_vectors(g.field, g.dim, vecs)
     return GradedSubspace.from_subspace(g.space, sub)
+
+
+# ---------------------------------------------------------------------------
+# stem decomposition
+
+def reference_subalgebra_on(g, k: GradedSubspace):
+    """Induced algebra on a bracket-closed, twist-invariant graded subspace,
+    with coordinates over the full-space RREF basis of k."""
+    f = g.field
+    kf = k.to_subspace()
+    vecs = k.full_basis_vectors()
+    for v in vecs:
+        if not kf.contains_vector(g.theta(v)):
+            raise PreconditionError("subspace is not twist-invariant")
+    for a, va in enumerate(vecs):
+        for vb in vecs[a:]:
+            if not kf.contains_vector(g.bracket(va, vb)):
+                raise PreconditionError("subspace is not closed under the bracket")
+    space = SuperSpace(k.even.dim, k.odd.dim)
+    brackets = {(a, b): dict(enumerate(kf.coordinates_of(g.bracket(vecs[a], vecs[b]))))
+                for a in range(len(vecs)) for b in range(a, len(vecs))}
+    twist = Matrix.from_columns(f, [kf.coordinates_of(g.theta(v)) for v in vecs], k.dim)
+    alg = HomLieSuperalgebra(space, brackets, twist)
+    incl = EvenLinearMap(space, g.space, Matrix.from_columns(f, vecs, g.dim))
+    return alg, incl
+
+
+def reference_stem_decompose(g) -> StemDecomposition:
+    """Complement Z(G) ∩ G' inside Z(G) to get the abelian part A, then
+    extend G' greedily over the standard basis to a complement of A; both
+    pieces must be twist-invariant."""
+    _require_regular(g, "algebra")
+    f = g.field
+    z = center(g)
+    dsub = derived(g)
+    a = z.intersect(dsub).complement_in(z)
+    afull = a.to_subspace()
+    for v in a.full_basis_vectors():
+        if not afull.contains_vector(g.theta(v)):
+            raise PreconditionError("greedy central complement is not twist-invariant")
+    combined = (dsub + a).to_subspace()
+    extra = []
+    for i in range(g.dim):
+        e = basis_vec(f, g.dim, i)
+        if not combined.contains_vector(e):
+            extra.append(e)
+            combined = combined + Subspace.from_vectors(f, g.dim, [e])
+    p0 = GradedSubspace.from_vectors(f, g.space, extra) + dsub
+    p0full = p0.to_subspace()
+    for v in p0.full_basis_vectors():
+        if not p0full.contains_vector(g.theta(v)):
+            raise PreconditionError("greedy stem complement is not twist-invariant")
+    stem_part, _ = reference_subalgebra_on(g, p0)
+    abelian_part, _ = reference_subalgebra_on(g, a)
+    s, emb_p, emb_a = direct_sum_with_embeddings(stem_part, abelian_part)
+    basis = Matrix.from_columns(f, p0.full_basis_vectors() + a.full_basis_vectors(), g.dim)
+    iso = EvenLinearMap(g.space, s.space,
+                        emb_p.matrix.hstack(emb_a.matrix) @ basis.inverse())
+    assert is_isomorphism(iso, g, s)
+    assert is_stem(stem_part)
+    assert not abelian_part.brackets
+    return StemDecomposition(stem_part, abelian_part, iso)

@@ -123,6 +123,43 @@ def test_sum_rejects_invalid_input(tmp_path, corpus_dir, capsys):
                        f"{path} is not a valid algebra")
 
 
+@pytest.mark.parametrize("command", [
+    ["stem-decompose", "{bad}"], ["factorset", "{bad}"],
+    ["quotient", "{bad}", "--ideal", "a"], ["iso-search", "{bad}", "{bad}"],
+    ["isoclinic", "{bad}", "{bad}", "--decide"],
+    ["isoclinic", "{bad}", "{bad}", "--witness", "{witness}"],
+], ids=lambda c: " ".join(c[:1] + [a for a in c[1:] if a.startswith("--")]))
+def test_invalid_algebra_is_an_input_error(command, tmp_path, capsys):
+    """Every command but check rejects an algebra failing the axioms as bad
+    input, before computing anything with it."""
+    bad = tmp_path / "bad.json"
+    save_json(str(bad), NOT_JACOBI)
+    _, g = algebra_from_dict(NOT_JACOBI)
+    witness = tmp_path / "w.json"
+    save_json(str(witness), witness_to_dict(identity_witness(g), g, g))
+    argv = [a.format(bad=bad, witness=witness) for a in command]
+    assert_input_error(argv, capsys, f"{bad} is not a valid algebra")
+
+
+#: {z, c | f} with [f, f] = z and theta(c) = 2c + z: the greedy complement
+#: span(c) of the derived subalgebra in the center is not twist-invariant.
+ZC = {
+    "name": "zc", "field": "Q", "even_dim": 2, "odd_dim": 1,
+    "basis_names": ["z", "c", "f"],
+    "brackets": [{"i": 2, "j": 2, "result": {"0": "1"}}],
+    "theta": [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "1"]],
+}
+
+
+def test_stem_decompose_failed_precondition_exits_1(tmp_path, capsys):
+    path = tmp_path / "zc.json"
+    save_json(str(path), ZC)
+    code, out = run(["stem-decompose", str(path)], capsys)
+    assert code == cli.EXIT_FALSE == 1
+    assert json.loads(out) == {"command": ["stem-decompose", f"file={path}"],
+                               "error": "subspace is not twist-invariant"}
+
+
 def test_oversized_modulus_is_an_input_error(tmp_path, capsys):
     # 2^89 - 1 is prime, but primality is decided only below 3.3e24
     data = {"name": "big", "field": f"Fp:{2 ** 89 - 1}", "even_dim": 1, "odd_dim": 0,

@@ -2,8 +2,9 @@
 
 `GradedSubspace.from_subspace` (split by projection) and `Field.of`
 (canonical values pass through) are compared with the reference versions
-in reference_kernel.py; `Matrix.rref` and `Matrix.nullspace` over Q are
-compared with sympy.  Equality of field elements is checked together with
+in reference_kernel.py; `GradedSubspace.coordinates_of` (block by block)
+with the coordinates over the full-space `to_subspace()`;
+`Matrix.rref` and `Matrix.nullspace` over Q are compared with sympy.  Equality of field elements is checked together with
 their type, since Fraction(1) == 1.
 """
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from reference_kernel import reference_field_of, reference_from_subspace
 
 from homsuper.core import GradedSubspace, SuperSpace
-from homsuper.linalg import GF, QQ, Matrix, Subspace
+from homsuper.linalg import GF, QQ, Matrix, Subspace, vec_add, vec_scale
 
 FIELDS = (QQ, GF(3), GF(5))
 
@@ -104,6 +105,28 @@ def test_from_subspace_rejects_other_ambient(dim):
     for split in (reference_from_subspace, GradedSubspace.from_subspace):
         with pytest.raises(ValueError, match="different ambient spaces"):
             split(SuperSpace(3, 3), sub)
+
+
+@st.composite
+def graded_with_vector(draw):
+    """A graded subspace and a canonical vector: a combination of its basis
+    rows (inside) or arbitrary entries (mostly outside)."""
+    space, sub = draw(subspaces(extra=0))
+    f = sub.field
+    if draw(st.booleans()):
+        v = (f.zero,) * space.dim
+        for row in sub.basis_rows():
+            v = vec_add(f, v, vec_scale(f, f.of(draw(scalars(f))), row))
+    else:
+        v = tuple(f.of(draw(scalars(f))) for _ in range(space.dim))
+    return GradedSubspace.from_subspace(space, sub), v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graded_with_vector())
+def test_graded_coordinates_match_full_space(case):
+    gs, v = case
+    assert repr(gs.coordinates_of(v)) == repr(gs.to_subspace().coordinates_of(v))
 
 
 # ---------------------------------------------------------------------------
