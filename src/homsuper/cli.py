@@ -39,7 +39,7 @@ from .fileio import (algebra_to_dict, dumps_canonical, factorset_to_dict,
                      matrix_to_lists, save_json, witness_to_dict)
 from .isoclinism import (DEFAULT_BUDGET, fingerprint, iso_search,
                          isoclinic_decide, stem_decompose, verify_isoclinism)
-from .linalg import vec
+from .linalg import basis_vec, vec
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -258,24 +258,31 @@ def cmd_invariants(args):
 
 
 def _parse_ideal(g: HomLieSuperalgebra, spec: str) -> GradedSubspace:
+    """Generators separated by ";", each a basis name or g.dim coordinates
+    separated by ","; a single coordinate serves an algebra of dimension 1."""
     f = g.field
+    names = g.space.basis_names or ()
     vectors = []
     for part in spec.split(";"):
         part = part.strip()
         if not part:
             continue
-        if "," in part:
-            entries = [x.strip() for x in part.split(",")]
-            if len(entries) != g.dim:
-                raise FormatError(
-                    f"ideal generator {part!r} has {len(entries)} coordinates, expected {g.dim}")
+        if part in names:
+            vectors.append(basis_vec(f, g.dim, names.index(part)))
+            continue
+        entries = [x.strip() for x in part.split(",")]
+        unknown = FormatError(f"unknown basis name {part!r} in --ideal")
+        if len(entries) != g.dim:
+            if len(entries) == 1:
+                raise unknown
+            raise FormatError(
+                f"ideal generator {part!r} has {len(entries)} coordinates, expected {g.dim}")
+        try:
             vectors.append(vec(f, entries))
-        else:
-            names = g.space.basis_names
-            if names is None or part not in names:
-                raise FormatError(f"unknown basis name {part!r} in --ideal")
-            idx = names.index(part)
-            vectors.append(tuple(f.one if i == idx else f.zero for i in range(g.dim)))
+        except FormatError:
+            if len(entries) == 1:
+                raise unknown from None
+            raise
     if not vectors:
         raise FormatError("--ideal named no generators")
     try:

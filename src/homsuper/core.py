@@ -24,8 +24,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .linalg import (Field, Matrix, Subspace, _dense_vec, _sparse_vec, basis_vec,
-                     vec_is_zero, vec_scale, zero_vec)
+from .linalg import (Field, Matrix, Subspace, _accumulate, _dense_vec, _reduced_vec,
+                     _sparse_vec, basis_vec, vec_is_zero, vec_scale, zero_vec)
 
 EVEN, ODD = 0, 1
 
@@ -74,9 +74,10 @@ class SuperSpace:
 def _check_even_matrix(space_rows: SuperSpace, space_cols: SuperSpace, m: Matrix):
     if (m.nrows, m.ncols) != (space_rows.dim, space_cols.dim):
         raise ValueError("matrix shape does not match the graded spaces")
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            if space_rows.parity(i) != space_cols.parity(j) and m[i, j] != 0:
+    pc = space_cols.even_dim
+    for i, row in enumerate(m.entries):
+        for j in range(pc, m.ncols) if i < space_rows.even_dim else range(pc):
+            if row[j] != 0:
                 raise ValueError(
                     f"map is not even: nonzero entry at ({i}, {j}) crosses parity")
 
@@ -91,11 +92,12 @@ class GradedBilinearTable:
     i > j cell was injected, which is kept for the validators to flag.
 
     `rows` is the row index the kernels walk: rows[i] maps every j with a
-    nonzero value on (i, j) to (sign, cell), and that value is sign * cell.
-    The index refers to the stored cell dicts and never copies them: a
-    stored cell appears with sign 1, a derived i > j value as the (j, i)
-    dict with its sign -(-1)^{|i||j|}, and an injected i > j cell as
-    itself, as `cell` reads it.  It is built on first use.
+    nonzero value on (i, j) to (sign, cell), and that value is sign * cell,
+    the sign being the int 1 or -1.  The index refers to the stored cell
+    dicts and never copies them: a stored cell appears with sign 1, a
+    derived i > j value as the (j, i) dict with its sign -(-1)^{|i||j|},
+    and an injected i > j cell as itself, as `cell` reads it.  It is built
+    on first use.
     """
 
     field: Field
@@ -123,13 +125,12 @@ class GradedBilinearTable:
 
     @cached_property
     def rows(self) -> tuple:
-        f = self.field
         par = self.source.parity
         rows = [{} for _ in range(self.source.dim)]
         for (i, j), cell in self.cells.items():
-            rows[i][j] = (f.one, cell)
+            rows[i][j] = (1, cell)
             if i < j and (j, i) not in self.cells:
-                rows[j][i] = (f.neg(koszul_sign(f, par(i), par(j))), cell)
+                rows[j][i] = (1 if par(i) == par(j) == ODD else -1, cell)
         return tuple({j: row[j] for j in sorted(row)} for row in rows)
 
     def cell(self, i: int, j: int) -> dict:
@@ -147,22 +148,18 @@ class GradedBilinearTable:
         return _dense_vec(self.field, self.target.dim, self.cell(i, j))
 
     def eval(self, x: Sequence, y: Sequence) -> tuple:
-        """Bilinear extension to whole source-coordinate vectors."""
-        f = self.field
-        add, mul = f.add, f.mul
+        """Bilinear extension to whole source-coordinate vectors, summed
+        raw over the nonzero terms and reduced once per entry."""
         rows = self.rows
-        out = [f.zero] * self.target.dim
+        acc = {}
         for i, xi in enumerate(x):
             if not xi:
                 continue
             for j, (s, cell) in rows[i].items():
                 yj = y[j]
-                if not yj:
-                    continue
-                c = mul(mul(xi, yj), s)
-                for k, v in cell.items():
-                    out[k] = add(out[k], mul(c, v))
-        return tuple(out)
+                if yj:
+                    _accumulate(acc, cell.items(), xi * yj if s > 0 else -(xi * yj))
+        return _reduced_vec(self.field, self.target.dim, acc)
 
     def parity_failures(self, axiom: str) -> tuple:
         """Stored values off the parity |i| + |j|."""
@@ -281,13 +278,14 @@ def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
 
     The triple's sum is sgn * [theta(b_a), [b_b, b_c]] over its three
     cyclic terms; a triple whose inner brackets [b_j, b_k], [b_i, b_j] and
-    [b_k, b_i] all vanish is zero and skipped.  The rest is accumulated
-    over the nonzero cells of the row index and sparse twist columns."""
+    [b_k, b_i] all vanish is zero and skipped.  The rest is summed raw over
+    the nonzero cells of the row index and sparse twist columns, with the
+    signs as ints, and reduced once per entry."""
     f = g.field
-    add, mul = f.add, f.mul
+    p = f.p
     d = g.dim
     rows = g.table.rows
-    par = [g.space.parity(t) for t in range(d)]
+    odd = [g.space.parity(t) == ODD for t in range(d)]
     theta_col = [_sparse_vec(g.twist.col(a)) for a in range(d)]
     fails = []
     for i in range(d):
@@ -299,26 +297,24 @@ def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
                 if ij is None and jk is None and ki is None:
                     continue
                 total = {}
-                for a, inner, sgn in ((i, jk, koszul_sign(f, par[i], par[k])),
-                                      (k, ij, koszul_sign(f, par[k], par[j])),
-                                      (j, ki, koszul_sign(f, par[j], par[i]))):
+                for a, inner, sgn in ((i, jk, -1 if odd[i] and odd[k] else 1),
+                                      (k, ij, -1 if odd[k] and odd[j] else 1),
+                                      (j, ki, -1 if odd[j] and odd[i] else 1)):
                     if inner is None:
                         continue
                     s_in, cell_in = inner
-                    s_in = mul(sgn, s_in)
+                    s_in *= sgn
                     for m, v in cell_in.items():
-                        sv = mul(s_in, v)
+                        sv = v if s_in > 0 else -v
                         for l, t in theta_col[a]:
                             outer = rows[l].get(m)
-                            if outer is None:
-                                continue
-                            s_out, cell_out = outer
-                            c = mul(mul(t, sv), s_out)
-                            for n, u in cell_out.items():
-                                total[n] = add(total.get(n, f.zero), mul(c, u))
-                if any(total.values()):
+                            if outer is not None:
+                                s_out, cell_out = outer
+                                _accumulate(total, cell_out.items(),
+                                            t * sv if s_out > 0 else -(t * sv))
+                if any(total.values()) if p is None else any(x % p for x in total.values()):
                     fails.append(Failure("hom-jacobi", (i, j, k),
-                                         _dense_vec(f, d, total), zero_vec(f, d)))
+                                         _reduced_vec(f, d, total), zero_vec(f, d)))
     return ValidationReport(tuple(fails))
 
 
@@ -533,7 +529,7 @@ def center(g: HomLieSuperalgebra) -> GradedSubspace:
     for i, row in enumerate(g.table.rows):
         for j, (s, cell) in row.items():
             for k, v in cell.items():
-                rows.setdefault((j, k), [f.zero] * d)[i] = f.mul(s, v)
+                rows.setdefault((j, k), [f.zero] * d)[i] = v if s > 0 else f.neg(v)
     m = Matrix.from_rows(f, [rows[jk] for jk in sorted(rows)], d)
     return GradedSubspace.from_subspace(g.space, m.nullspace())
 

@@ -6,12 +6,23 @@ solving, and deterministic subspace arithmetic.  Scalars are either
 `fractions.Fraction` (rationals, always in lowest terms with positive
 denominator) or plain ints reduced to [0, p) (prime fields).  All values
 are immutable and all operations are pure, so they are safe to share.
+
+Kernel contract.  The scalar kernels (`Matrix.matvec`, `Matrix.__matmul__`,
+`Matrix.rref`, `Subspace.coordinates_of`, and the bilinear-table loops of
+`core` and `factorset`) take canonical values: `Field.of` output, which is
+what every `Matrix`, `Subspace` and algebra holds.  They visit only nonzero
+entries, multiply and add with plain `*`, `+` and `-` instead of the
+`Field` methods, and reduce once per output entry: `% p` over F_p, nothing
+over Q, where `Fraction` arithmetic is already canonical.  An entry that
+receives no term is the field's zero.  The results are the values, of the
+same types, that reducing after every operation would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError, PreconditionError
@@ -70,11 +81,11 @@ class Field:
     def name(self) -> str:
         return "Q" if self.p is None else f"Fp:{self.p}"
 
-    @property
+    @cached_property
     def zero(self):
         return Fraction(0) if self.p is None else 0
 
-    @property
+    @cached_property
     def one(self):
         return Fraction(1) if self.p is None else 1
 
@@ -149,7 +160,7 @@ def GF(p: int) -> Field:
 # plain-tuple vectors
 
 def vec(field: Field, xs: Iterable) -> tuple:
-    return tuple(field.of(x) for x in xs)
+    return tuple(map(field.of, xs))
 
 
 def zero_vec(field: Field, n: int) -> tuple:
@@ -189,9 +200,26 @@ def _dense_vec(field: Field, n: int, entries: dict) -> tuple:
     return tuple(out)
 
 
+def _reduced_vec(field: Field, n: int, acc: dict) -> tuple:
+    """The length-n vector of raw sums {index: sum}, each reduced once."""
+    p = field.p
+    return _dense_vec(field, n, acc if p is None else {k: x % p for k, x in acc.items()})
+
+
+def _accumulate(acc: dict, terms: tuple, c):
+    """acc[k] += c * x for the (k, x) in terms, as raw sums."""
+    for k, x in terms:
+        if k in acc:
+            acc[k] += c * x
+        else:
+            acc[k] = c * x
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix; all entries share one field tag."""
+    """Immutable dense matrix; all entries share one field tag and are
+    canonical.  The products walk nonzero entries only: a matrix finds
+    those of its rows and columns on first use and keeps them."""
 
     field: Field
     nrows: int
@@ -242,7 +270,11 @@ class Matrix:
         return self.entries[i]
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        return self._cols[j]
+
+    @cached_property
+    def _cols(self) -> tuple:
+        return tuple(zip(*self.entries)) if self.nrows else ((),) * self.ncols
 
     def __neg__(self) -> "Matrix":
         return self.scale(self.field.neg(self.field.one))
@@ -253,26 +285,39 @@ class Matrix:
         return Matrix(f, self.nrows, self.ncols,
                       tuple(vec_scale(f, c, r) for r in self.entries))
 
+    @cached_property
+    def _sparse_rows(self) -> tuple:
+        return tuple(_sparse_vec(r) for r in self.entries)
+
+    @cached_property
+    def _sparse_cols(self) -> tuple:
+        return tuple(_sparse_vec(c) for c in self._cols)
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.ncols != other.nrows:
             raise ValueError("incompatible shapes for product")
         f = self.field
-        ot = other.transpose().entries
+        orows = other._sparse_rows
         rows = []
-        for r in self.entries:
-            rows.append(tuple(
-                _dot(f, r, c) for c in ot))
+        for r in self._sparse_rows:
+            acc = {}
+            for k, x in r:
+                _accumulate(acc, orows[k], x)
+            rows.append(_reduced_vec(f, other.ncols, acc))
         return Matrix(f, self.nrows, other.ncols, tuple(rows))
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        f = self.field
-        return tuple(_dot(f, r, v) for r in self.entries)
+        cols = self._sparse_cols
+        acc = {}
+        for j, x in enumerate(v):
+            if x:
+                _accumulate(acc, cols[j], x)
+        return _reduced_vec(self.field, self.nrows, acc)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      tuple(self.col(j) for j in range(self.ncols)))
+        return Matrix(self.field, self.ncols, self.nrows, self._cols)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.field != other.field:
@@ -294,27 +339,46 @@ class Matrix:
         return all(vec_is_zero(r) for r in self.entries)
 
     def rref(self) -> tuple:
-        """Unique reduced row-echelon form and its pivot columns."""
+        """Unique reduced row-echelon form and its pivot columns.
+
+        Rows at and below the pivot row vanish left of the pivot column, so
+        the pivot row's nonzero entries lie in columns >= pc, and each row
+        update touches only those columns."""
         f = self.field
+        p = f.p
+        nrows, ncols = self.nrows, self.ncols
         m = [list(r) for r in self.entries]
         pivots = []
         pr = 0
-        for pc in range(self.ncols):
-            if pr == self.nrows:
+        for pc in range(ncols):
+            if pr == nrows:
                 break
-            hit = next((r for r in range(pr, self.nrows) if m[r][pc] != 0), None)
+            hit = next((r for r in range(pr, nrows) if m[r][pc]), None)
             if hit is None:
                 continue
             m[pr], m[hit] = m[hit], m[pr]
-            inv = f.inv(m[pr][pc])
-            m[pr] = [f.mul(inv, x) for x in m[pr]]
-            for r in range(self.nrows):
-                if r != pr and m[r][pc] != 0:
-                    c = m[r][pc]
-                    m[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[r], m[pr])]
+            row = m[pr]
+            inv = f.inv(row[pc])
+            if p is None:
+                nz = [(j, inv * row[j]) for j in range(pc, ncols) if row[j]]
+            else:
+                nz = [(j, inv * row[j] % p) for j in range(pc, ncols) if row[j]]
+            for j, y in nz:
+                row[j] = y
+            for r in range(nrows):
+                other = m[r]
+                c = other[pc]
+                if r == pr or not c:
+                    continue
+                if p is None:
+                    for j, y in nz:
+                        other[j] = other[j] - c * y
+                else:
+                    for j, y in nz:
+                        other[j] = (other[j] - c * y) % p
             pivots.append(pc)
             pr += 1
-        return Matrix.from_rows(f, m, self.ncols), tuple(pivots)
+        return Matrix(f, nrows, ncols, tuple(map(tuple, m))), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -420,11 +484,7 @@ class Matrix:
 
 
 def _dot(field: Field, a: Sequence, b: Sequence):
-    s = field.zero
-    for x, y in zip(a, b):
-        if x and y:
-            s = field.add(s, field.mul(x, y))
-    return s
+    return field.of(sum(x * y for x, y in zip(a, b) if x and y))
 
 
 @dataclass(frozen=True)
@@ -465,20 +525,22 @@ class Subspace:
     def basis_rows(self) -> list:
         return [self.basis.row(i) for i in range(self.dim)]
 
-    def _pivot(self, r: int) -> int:
-        return next(j for j, x in enumerate(self.basis.row(r)) if x != 0)
-
     def coordinates_of(self, v: Sequence) -> Optional[tuple]:
-        """Coefficients of v over the basis rows; None when v is outside."""
-        f = self.field
+        """Coefficients of v over the basis rows; None when v is outside.
+
+        Every other basis row vanishes in a row's pivot column, so the
+        coefficient of a row is v's entry there.  The rows' nonzero entries
+        are subtracted from v as raw sums and the remainder reduced once."""
         rest = list(v)
         coeffs = []
-        for r in range(self.dim):
-            c = rest[self._pivot(r)]
+        for r in self.basis._sparse_rows:
+            c = rest[r[0][0]]
             coeffs.append(c)
-            if c != 0:
-                rest = [f.sub(x, f.mul(c, y)) for x, y in zip(rest, self.basis.row(r))]
-        if not vec_is_zero(rest):
+            if c:
+                for j, y in r:
+                    rest[j] -= c * y
+        p = self.field.p
+        if any(rest) if p is None else any(x % p for x in rest):
             return None
         return tuple(coeffs)
 
@@ -514,20 +576,23 @@ class Subspace:
 
         Greedy pivot extension: walk the enclosing space's RREF basis (the
         standard coordinate vectors when `within` is the full ambient) and
-        keep each vector that enlarges the span.
+        keep each vector that enlarges the span.  Those are the pivot
+        columns of one RREF, of self's basis rows followed by the enclosing
+        ones laid down as columns.  Rows of an RREF basis are again in RREF,
+        so the kept rows are the complement's basis as they stand.
         """
         f = self.field
-        amb = Subspace.full(f, self.ambient_dim) if within is None else within
+        n = self.ambient_dim
+        amb = Subspace.full(f, n) if within is None else within
         if not amb.contains(self):
             raise PreconditionError("complement: subspace is not contained in the enclosing space")
-        current = self
-        added = []
-        for row in amb.basis_rows():
-            if not current.contains_vector(row):
-                added.append(row)
-                current = Subspace.from_vectors(f, self.ambient_dim,
-                                                current.basis_rows() + [row])
-        return Subspace.from_vectors(f, self.ambient_dim, added)
+        if amb.dim == self.dim:
+            return Subspace.zero(f, n)
+        rows = amb.basis_rows()
+        cols = self.basis_rows() + rows
+        _, pivots = Matrix(f, len(cols), n, tuple(cols)).transpose().rref()
+        kept = tuple(rows[c - self.dim] for c in pivots if c >= self.dim)
+        return Subspace(n, Matrix(f, len(kept), n, kept))
 
     def _compat(self, other: "Subspace"):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:

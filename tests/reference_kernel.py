@@ -20,6 +20,17 @@ loops, and builds the induced algebras through `reference_subalgebra_on`,
 which checks membership and then computes coordinates over the full-space
 RREF of the subspace.  `stem_decompose` must give the same stem part,
 abelian part and isomorphism, or raise PreconditionError when it does.
+
+The dense scalar kernels go through `Field.add`/`Field.mul` on every
+entry: `reference_rref` updates whole rows, `reference_matvec` and
+`reference_matmul` take a dot product per output entry over every entry
+pair, `reference_coordinates_of` finds each basis row's pivot by a scan
+and subtracts whole rows, and `reference_complement_in` walks the
+enclosing basis greedily with one RREF per kept vector.
+`field_ops_eval`, `field_ops_check_hom_jacobi` and
+`field_ops_validate_factor_set` walk the row index like the versions in
+`homsuper` but reduce every product and sum through the field methods.
+The kernels in `homsuper` must give the same values of the same types.
 """
 
 from fractions import Fraction
@@ -30,8 +41,8 @@ from homsuper.core import (EVEN, EvenLinearMap, Failure, GradedSubspace,
                            is_stem, koszul_sign)
 from homsuper.errors import PreconditionError
 from homsuper.isoclinism import StemDecomposition, _require_regular
-from homsuper.linalg import (Field, Matrix, Subspace, basis_vec, vec_add, vec_is_zero,
-                             vec_scale, vec_sub, zero_vec)
+from homsuper.linalg import (Field, Matrix, Subspace, _dense_vec, _sparse_vec, basis_vec,
+                             vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 
 def reference_from_subspace(space: SuperSpace, sub: Subspace) -> GradedSubspace:
@@ -244,3 +255,209 @@ def reference_stem_decompose(g) -> StemDecomposition:
     assert is_stem(stem_part)
     assert not abelian_part.brackets
     return StemDecomposition(stem_part, abelian_part, iso)
+
+
+# ---------------------------------------------------------------------------
+# dense scalar kernels
+
+def _reference_dot(field: Field, a, b):
+    s = field.zero
+    for x, y in zip(a, b):
+        if x and y:
+            s = field.add(s, field.mul(x, y))
+    return s
+
+
+def reference_rref(matrix: Matrix) -> tuple:
+    """Unique reduced row-echelon form and its pivot columns."""
+    f = matrix.field
+    m = [list(r) for r in matrix.entries]
+    pivots = []
+    pr = 0
+    for pc in range(matrix.ncols):
+        if pr == matrix.nrows:
+            break
+        hit = next((r for r in range(pr, matrix.nrows) if m[r][pc] != 0), None)
+        if hit is None:
+            continue
+        m[pr], m[hit] = m[hit], m[pr]
+        inv = f.inv(m[pr][pc])
+        m[pr] = [f.mul(inv, x) for x in m[pr]]
+        for r in range(matrix.nrows):
+            if r != pr and m[r][pc] != 0:
+                c = m[r][pc]
+                m[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+    return Matrix.from_rows(f, m, matrix.ncols), tuple(pivots)
+
+
+def reference_matvec(matrix: Matrix, v) -> tuple:
+    if len(v) != matrix.ncols:
+        raise ValueError("vector length does not match column count")
+    f = matrix.field
+    return tuple(_reference_dot(f, r, v) for r in matrix.entries)
+
+
+def reference_matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.field != b.field or a.ncols != b.nrows:
+        raise ValueError("incompatible shapes for product")
+    f = a.field
+    ot = b.transpose().entries
+    rows = []
+    for r in a.entries:
+        rows.append(tuple(
+            _reference_dot(f, r, c) for c in ot))
+    return Matrix(f, a.nrows, b.ncols, tuple(rows))
+
+
+def reference_from_vectors(field: Field, ambient_dim: int, vectors) -> Subspace:
+    """Subspace.from_vectors through reference_rref."""
+    red, pivots = reference_rref(Matrix.from_rows(field, vectors, ambient_dim))
+    return Subspace(ambient_dim,
+                    Matrix(field, len(pivots), ambient_dim, red.entries[:len(pivots)]))
+
+
+def reference_coordinates_of(sub: Subspace, v):
+    """Coefficients of v over the basis rows; None when v is outside."""
+    f = sub.field
+    rest = list(v)
+    coeffs = []
+    for r in range(sub.dim):
+        c = rest[next(j for j, x in enumerate(sub.basis.row(r)) if x != 0)]
+        coeffs.append(c)
+        if c != 0:
+            rest = [f.sub(x, f.mul(c, y)) for x, y in zip(rest, sub.basis.row(r))]
+    if not vec_is_zero(rest):
+        return None
+    return tuple(coeffs)
+
+
+def reference_complement_in(sub: Subspace, within=None) -> Subspace:
+    """Greedy pivot extension: walk the enclosing space's RREF basis and
+    keep each vector that enlarges the span."""
+    f = sub.field
+    amb = Subspace.full(f, sub.ambient_dim) if within is None else within
+    if any(reference_coordinates_of(amb, r) is None for r in sub.basis_rows()):
+        raise PreconditionError("complement: subspace is not contained in the enclosing space")
+    current = sub
+    added = []
+    for row in amb.basis_rows():
+        if reference_coordinates_of(current, row) is None:
+            added.append(row)
+            current = reference_from_vectors(f, sub.ambient_dim,
+                                             current.basis_rows() + [row])
+    return reference_from_vectors(f, sub.ambient_dim, added)
+
+
+# ---------------------------------------------------------------------------
+# sparse structure-constant kernels through the field methods
+
+def field_ops_eval(table, x, y) -> tuple:
+    """Bilinear extension to whole source-coordinate vectors."""
+    f = table.field
+    add, mul = f.add, f.mul
+    rows = table.rows
+    out = [f.zero] * table.target.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, (s, cell) in rows[i].items():
+            yj = y[j]
+            if not yj:
+                continue
+            c = mul(mul(xi, yj), s)
+            for k, v in cell.items():
+                out[k] = add(out[k], mul(c, v))
+    return tuple(out)
+
+
+def field_ops_check_hom_jacobi(g) -> ValidationReport:
+    """Twisted Jacobi identity on all ordered basis triples i <= j <= k,
+    over the nonzero cells of the row index and sparse twist columns."""
+    f = g.field
+    add, mul = f.add, f.mul
+    d = g.dim
+    rows = g.table.rows
+    par = [g.space.parity(t) for t in range(d)]
+    theta_col = [_sparse_vec(g.twist.col(a)) for a in range(d)]
+    fails = []
+    for i in range(d):
+        for j in range(i, d):
+            ij = rows[i].get(j)
+            for k in range(j, d):
+                jk = rows[j].get(k)
+                ki = rows[k].get(i)
+                if ij is None and jk is None and ki is None:
+                    continue
+                total = {}
+                for a, inner, sgn in ((i, jk, koszul_sign(f, par[i], par[k])),
+                                      (k, ij, koszul_sign(f, par[k], par[j])),
+                                      (j, ki, koszul_sign(f, par[j], par[i]))):
+                    if inner is None:
+                        continue
+                    s_in, cell_in = inner
+                    s_in = mul(sgn, s_in)
+                    for m, v in cell_in.items():
+                        sv = mul(s_in, v)
+                        for l, t in theta_col[a]:
+                            outer = rows[l].get(m)
+                            if outer is None:
+                                continue
+                            s_out, cell_out = outer
+                            c = mul(mul(t, sv), s_out)
+                            for n, u in cell_out.items():
+                                total[n] = add(total.get(n, f.zero), mul(c, u))
+                if any(total.values()):
+                    fails.append(Failure("hom-jacobi", (i, j, k),
+                                         _dense_vec(f, d, total), zero_vec(f, d)))
+    return ValidationReport(tuple(fails))
+
+
+def field_ops_validate_factor_set(fs) -> ValidationReport:
+    """Parity, graded skew-symmetry and the cocycle identity, expanded over
+    the nonzero cells of the row indexes and sparse twist columns."""
+    f = fs.field
+    add, mul = f.add, f.mul
+    q = fs.quotient
+    dq, dz = q.dim, fs.center_space.dim
+    qrows, rrows = q.table.rows, fs.table.rows
+    fails = list(fs.table.parity_failures("factor-parity")
+                 + fs.table.skew_failures("factor-skew"))
+    tw = [_sparse_vec(q.twist.col(i)) for i in range(dq)]
+
+    def expand(acc, c, bracket, twisted, bracket_left):
+        """acc += c * r(bracket, T(b_twisted)), or c * r(T(b_twisted), bracket)
+        when bracket_left is false."""
+        s_in, cell_in = bracket
+        for m, v in cell_in.items():
+            cv = mul(mul(c, s_in), v)
+            for l, t in tw[twisted]:
+                hit = rrows[m].get(l) if bracket_left else rrows[l].get(m)
+                if hit is None:
+                    continue
+                s_r, cell_r = hit
+                coef = mul(mul(cv, t), s_r)
+                for n, u in cell_r.items():
+                    acc[n] = add(acc.get(n, f.zero), mul(coef, u))
+
+    one = f.one
+    for i in range(dq):
+        for j in range(dq):
+            ij = qrows[i].get(j)
+            sgn = koszul_sign(f, q.space.parity(i), q.space.parity(j))
+            for k in range(dq):
+                jk, ik = qrows[j].get(k), qrows[i].get(k)
+                if ij is None and jk is None and ik is None:
+                    continue
+                lhs, rhs = {}, {}
+                if ij is not None:
+                    expand(lhs, one, ij, k, True)
+                if jk is not None:
+                    expand(rhs, one, jk, i, False)
+                if ik is not None:
+                    expand(rhs, f.neg(sgn), ik, j, False)
+                if any(lhs.get(n, f.zero) != rhs.get(n, f.zero) for n in {**lhs, **rhs}):
+                    fails.append(Failure("factor-cocycle", (i, j, k),
+                                         _dense_vec(f, dz, lhs), _dense_vec(f, dz, rhs)))
+    return ValidationReport(tuple(fails))

@@ -196,3 +196,17 @@ def test_decide_witness_failing_verification_exits_4(monkeypatch, corpus_dir, ca
     assert report == {"command": ["isoclinic", f"file_a={hs}", f"file_b={hs}",
                                   "budget=200000", "decide"],
                       "error": "isoclinism witness failed verification"}
+
+
+@pytest.mark.parametrize("name", ["a_1_0", "a_0_1"])
+def test_quotient_of_unnamed_dim_one_algebra_by_coordinates(name, corpus_dir, capsys):
+    """A dimension-1 algebra without basis names takes its ideal as a single
+    coordinate; the quotient by the whole space is 0-dimensional."""
+    path = str(corpus_dir / f"{name}.json")
+    code, out = run(["quotient", path, "--ideal", "1"], capsys)
+    assert code == cli.EXIT_OK
+    report = json.loads(out)
+    assert (report["algebra"]["even_dim"], report["algebra"]["odd_dim"]) == (0, 0)
+    assert report["projection"] == []
+    assert_input_error(["quotient", path, "--ideal", "x"], capsys,
+                       "unknown basis name 'x' in --ideal")

@@ -5,7 +5,9 @@
 the references in reference_kernel.py evaluate every coordinate pair and
 check every basis pair and triple.  Both must give the same failure tuples
 (compared through repr, so that entry types count: Fraction(0) == 0) and
-the same subspaces, or raise the same error.
+the same subspaces, or raise the same error.  The same kernels are also
+compared with their row-index versions that go through the Field methods
+(`field_ops_*`), which isolates the raw sums reduced once per entry.
 
 Inputs, over Q, F_3 and F_5 up to (3|3): valid algebras moved by a random
 even change of basis, the same with one bracket value changed or with a
@@ -23,9 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_kernel import (reference_center, reference_check_hom_jacobi,
-                              reference_derived, reference_eval,
-                              reference_skew_failures,
+from reference_kernel import (field_ops_check_hom_jacobi, field_ops_eval,
+                              field_ops_validate_factor_set, reference_center,
+                              reference_check_hom_jacobi, reference_derived,
+                              reference_eval, reference_skew_failures,
                               reference_validate_factor_set)
 
 from homsuper.core import (HomLieSuperalgebra, SuperSpace, center, check_hom_jacobi,
@@ -191,6 +194,21 @@ def test_eval_matches_dense_reference(g, data):
 @given(factor_sets())
 def test_validate_factor_set_matches_dense_reference(fs):
     assert repr(validate_factor_set(fs)) == repr(reference_validate_factor_set(fs))
+
+
+@ORACLE
+@given(algebras(), st.data())
+def test_structure_kernels_match_field_ops(g, data):
+    vectors = st.lists(scalars(g.field), min_size=g.dim, max_size=g.dim)
+    x, y = data.draw(vectors), data.draw(vectors)
+    assert repr(g.table.eval(x, y)) == repr(field_ops_eval(g.table, x, y))
+    assert repr(check_hom_jacobi(g)) == repr(field_ops_check_hom_jacobi(g))
+
+
+@ORACLE
+@given(factor_sets())
+def test_validate_factor_set_matches_field_ops(fs):
+    assert repr(validate_factor_set(fs)) == repr(field_ops_validate_factor_set(fs))
 
 
 def signed_permutation(field, p, q, rng):
