@@ -147,7 +147,7 @@ def _echo(args) -> list:
     echo = [args.subcommand]
     for key in ("file", "file_a", "file_b", "ideal", "witness", "budget", "field"):
         val = getattr(args, key, None)
-        if val not in (None, False):
+        if val is not None and val is not False:
             echo.append(f"{key}={val}")
     if getattr(args, "decide", False):
         echo.append("decide")

@@ -14,13 +14,18 @@ Conventions used throughout the package:
     zeros dropped, the remaining values recovered through graded
     skew-symmetry (validators tolerate and flag explicitly injected
     i > j entries);
-  * all values are immutable and all operations are pure.
+  * all values are immutable and all operations are pure.  The
+    invariants of an algebra (center, derived subalgebra, the axiom
+    checks and, in isoclinism, the central quotient, derived algebra and
+    fingerprint) are memoised on the algebra object on first use, so an
+    algebra must never be mutated after construction: a memo would keep
+    answering for the old structure constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
@@ -28,6 +33,21 @@ from .linalg import (Field, Matrix, Subspace, _accumulate, _dense_vec, _reduced_
                      _sparse_vec, basis_vec, vec_is_zero, vec_scale, zero_vec)
 
 EVEN, ODD = 0, 1
+
+
+def _once(fn):
+    """Memoise the invariant fn(g) in the instance dict of the algebra g,
+    keyed by the public function, as cached_property caches
+    GradedBilinearTable.rows: a memo lives and dies with its algebra, and
+    equality and repr, which read the dataclass fields only, ignore it."""
+    @wraps(fn)
+    def once(g):
+        memo = g.__dict__
+        if once in memo:
+            return memo[once]
+        value = memo[once] = fn(g)
+        return value
+    return once
 
 
 def koszul_sign(field: Field, pa: int, pb: int):
@@ -318,6 +338,7 @@ def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
     return ValidationReport(tuple(fails))
 
 
+@_once
 def check_multiplicative(g: HomLieSuperalgebra) -> ValidationReport:
     """theta([b_i, b_j]) = [theta(b_i), theta(b_j)] on all pairs i <= j."""
     f = g.field
@@ -332,6 +353,7 @@ def check_multiplicative(g: HomLieSuperalgebra) -> ValidationReport:
     return ValidationReport(tuple(fails))
 
 
+@_once
 def check_regular(g: HomLieSuperalgebra) -> bool:
     """True when the twist matrix is invertible."""
     return g.twist.is_invertible()
@@ -520,6 +542,7 @@ class EvenLinearMap:
 # ---------------------------------------------------------------------------
 # structural invariants
 
+@_once
 def center(g: HomLieSuperalgebra) -> GradedSubspace:
     """Z(G) = {x : [x, y] = 0 for all y}, as the kernel of the stacked
     adjoint maps x -> [x, b_j]; only their nonzero rows are assembled."""
@@ -534,6 +557,7 @@ def center(g: HomLieSuperalgebra) -> GradedSubspace:
     return GradedSubspace.from_subspace(g.space, m.nullspace())
 
 
+@_once
 def derived(g: HomLieSuperalgebra) -> GradedSubspace:
     """Span of all brackets of basis pairs, split by parity."""
     f = g.field

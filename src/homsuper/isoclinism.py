@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (EVEN, ODD, EvenLinearMap, Failure, GradedSubspace,
-                   HomLieSuperalgebra, ValidationReport, bracket_span, center,
+                   HomLieSuperalgebra, ValidationReport, _once, bracket_span, center,
                    check_homomorphism, check_multiplicative, check_regular,
                    derived, direct_sum_with_embeddings, is_isomorphism,
                    is_stem, quotient, subalgebra_on)
@@ -52,6 +52,7 @@ def _require_regular(g: HomLieSuperalgebra, label: str):
         raise PreconditionError(f"{label} is not regular (twist not invertible)")
 
 
+@_once
 def central_quotient(g: HomLieSuperalgebra):
     """Quotient by the center over the deterministic graded complement.
 
@@ -66,6 +67,7 @@ def central_quotient(g: HomLieSuperalgebra):
     return qalg, proj, sect
 
 
+@_once
 def derived_algebra(g: HomLieSuperalgebra):
     """Induced algebra on the derived subalgebra; returns (algebra, inclusion)."""
     return subalgebra_on(g, derived(g))
@@ -88,9 +90,9 @@ def verify_isoclinism(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     _require_regular(g2, "second algebra")
     q1, proj1, sect1 = central_quotient(g1)
     q2, proj2, sect2 = central_quotient(g2)
-    d1sub, d2sub = derived(g1), derived(g2)
-    d1alg, incl1 = subalgebra_on(g1, d1sub)
-    d2alg, incl2 = subalgebra_on(g2, d2sub)
+    d1sub = derived(g1)
+    d1alg, incl1 = derived_algebra(g1)
+    d2alg, incl2 = derived_algebra(g2)
     maps = (("quotient-map", w.quotient_map, q1, q2),
             ("derived-map", w.derived_map, d1alg, d2alg))
     fails = []
@@ -159,7 +161,7 @@ def witness_from_surjection(f: EvenLinearMap, g1: HomLieSuperalgebra,
     q1, _, sect1 = central_quotient(g1)
     d1alg, incl1 = derived_algebra(g1)
     d2sub = derived(g2)
-    d2alg, _ = subalgebra_on(g2, d2sub)
+    d2alg, _ = derived_algebra(g2)
     fl = g1.field
     mu_cols = [proj2(f(sect1.matrix.col(i))) for i in range(q1.dim)]
     mu = EvenLinearMap(q1.space, q2.space, Matrix.from_columns(fl, mu_cols, q2.dim))
@@ -235,6 +237,7 @@ def derived_series_dims(g: HomLieSuperalgebra) -> tuple:
     return tuple(dims)
 
 
+@_once
 def fingerprint(g: HomLieSuperalgebra) -> tuple:
     """Isomorphism invariants used to prune search: graded dimensions of
     the algebra, its center, derived subalgebra, their intersection, the
@@ -242,7 +245,22 @@ def fingerprint(g: HomLieSuperalgebra) -> tuple:
     z = center(g)
     dsub = derived(g)
     return (g.space.dims, z.dims, dsub.dims, z.intersect(dsub).dims,
-            derived_series_dims(g), g.twist.charpoly())
+            derived_series_dims(g), _twist_charpoly(g))
+
+
+def _twist_charpoly(g: HomLieSuperalgebra) -> tuple:
+    """det(xI - theta), leading coefficient first, as the product of the
+    even and odd blocks' polynomials: an even twist is block-diagonal by
+    parity."""
+    p, d = g.space.even_dim, g.dim
+    even = g.twist.submatrix(range(p), range(p)).charpoly()
+    odd = g.twist.submatrix(range(p, d), range(p, d)).charpoly()
+    f = g.field
+    prod = [f.zero] * (len(even) + len(odd) - 1)
+    for i, a in enumerate(even):
+        for j, b in enumerate(odd):
+            prod[i + j] = f.add(prod[i + j], f.mul(a, b))
+    return tuple(prod)
 
 
 def iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,

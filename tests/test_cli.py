@@ -210,3 +210,13 @@ def test_quotient_of_unnamed_dim_one_algebra_by_coordinates(name, corpus_dir, ca
     assert report["projection"] == []
     assert_input_error(["quotient", path, "--ideal", "x"], capsys,
                        "unknown basis name 'x' in --ideal")
+
+
+def test_zero_budget_is_echoed(corpus_dir, capsys):
+    """--budget 0 is a value, not an absent flag: the echo keeps it, so the
+    echoed command re-runs with the same budget and not the default."""
+    hs = str(corpus_dir / "hs.json")
+    code, out = run(["isoclinic", hs, hs, "--decide", "--budget", "0"], capsys)
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert json.loads(out)["command"] == ["isoclinic", f"file_a={hs}", f"file_b={hs}",
+                                          "budget=0", "decide"]

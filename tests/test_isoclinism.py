@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference_witness import (chain_witness, compose_witnesses,
                                invert_witness, isoclinism_abelian_sum,
@@ -21,6 +23,7 @@ from homsuper.isoclinism import (IsoclinismWitness, central_quotient,
 from homsuper.linalg import GF, QQ, Matrix
 
 F3 = GF(3)
+F5 = GF(5)
 
 
 def scaled_hs_witness(algebras, mu_scale, nu_scale):
@@ -387,3 +390,33 @@ def test_fingerprint_includes_derived_series(algebras):
     fp = fingerprint(algebras["g22"])
     series = fp[4]
     assert series[0] == (1, 2)
+
+
+@st.composite
+def even_twists(draw):
+    """A field and a random even (p|q) matrix, p, q in 0..4, singular allowed."""
+    field = draw(st.sampled_from((QQ, F3, F5)))
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = (st.integers(0, field.p - 1) if field.p is not None else
+             st.one_of(st.integers(-3, 3), st.sampled_from((Fraction(1, 2), Fraction(-2, 3)))))
+    d = p + q
+    rows = [[draw(entry) if (i < p) == (j < p) else 0 for j in range(d)] for i in range(d)]
+    return p, q, Matrix.from_rows(field, rows, d)
+
+
+def _jordan(field, d):
+    return Matrix.from_rows(field, [[2 if i == j else int(j == i + 1) for j in range(d)]
+                                    for i in range(d)], d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(even_twists())
+@example((2, 0, _jordan(F3, 2)))
+@example((0, 2, _jordan(F5, 2)))
+@example((0, 0, _jordan(QQ, 0)))
+def test_fingerprint_charpoly_is_the_twist_charpoly(case):
+    """The block product equals Berkowitz on the whole twist, entry types
+    included, on every shape: (p|q), (p|0), (0|q) and (0|0)."""
+    p, q, twist = case
+    g = abelian(twist.field, p, q, twist)
+    assert repr(fingerprint(g)[-1]) == repr(twist.charpoly())
