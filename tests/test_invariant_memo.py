@@ -17,8 +17,10 @@ import random
 
 import pytest
 
+from test_search_oracle import random_even, transport
+
 from homsuper import core, isoclinism
-from homsuper.core import HomLieSuperalgebra, abelian, direct_sum
+from homsuper.core import abelian, direct_sum
 from homsuper.corpus import corpus, g22, hs, hs2, t2
 from homsuper.fileio import algebra_from_dict, algebra_to_dict, dumps_canonical, witness_to_dict
 from homsuper.linalg import GF, QQ, Matrix
@@ -32,26 +34,6 @@ def reload(g):
     return algebra_from_dict(algebra_to_dict(g, "copy"))[1]
 
 
-def transport(g, pm):
-    """The algebra P.g with [x, y]' = P[P^-1 x, P^-1 y], theta' = P theta P^-1."""
-    d = g.dim
-    pinv = pm.inverse()
-    cols = [pinv.col(i) for i in range(d)]
-    brackets = {(i, j): dict(enumerate(pm.matvec(g.bracket(cols[i], cols[j]))))
-                for i in range(d) for j in range(i, d)}
-    return HomLieSuperalgebra(g.space, brackets, pm @ g.twist @ pinv)
-
-
-def random_even(field, p, q, rng):
-    vals = range(field.p) if field.p is not None else (-1, 0, 1, 2)
-    while True:
-        rows = [[rng.choice(vals) if (i < p) == (j < p) else 0 for j in range(p + q)]
-                for i in range(p + q)]
-        m = Matrix.from_rows(field, rows, p + q)
-        if m.is_invertible():
-            return m
-
-
 def generated():
     rng = random.Random(20261018)
     out = []
@@ -60,7 +42,7 @@ def generated():
             g = base(field)
             if pad != (0, 0):
                 g = direct_sum(g, abelian(field, *pad))
-            pm = random_even(field, *g.space.dims, rng)
+            pm = random_even(field, *g.space.dims, rng, monomial=False)
             out.append(pytest.param(transport(g, pm),
                                     id=f"{base.__name__}+{pad}/{field.name}"))
     return out
