@@ -126,14 +126,16 @@ def _parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--witness", help="witness file to verify")
     mode.add_argument("--decide", action="store_true", help="run the decision procedure")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="search nodes to examine (default %(default)s)")
     common(p)
     p.set_defaults(handler=cmd_isoclinic)
 
     p = sub.add_parser("iso-search", help="search for an isomorphism")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="search nodes to examine (default %(default)s)")
     common(p)
     p.set_defaults(handler=cmd_iso_search)
 

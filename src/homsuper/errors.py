@@ -16,11 +16,13 @@ class PreconditionError(HomSuperError):
 class SearchInconclusive(HomSuperError):
     """Isomorphism search ended without a definitive answer.
 
-    Raised when the candidate budget ran out, or when the search space
-    over the rationals was exhausted without covering all linear maps.
-    Distinct from a definitive "no isomorphism exists" result.
+    Raised when the search budget ran out, or when the search space over
+    the rationals was exhausted without covering all linear maps.
+    Distinct from a definitive "no isomorphism exists" result.  `reason`
+    is a fixed tag ("budget", "restricted-search-exhausted"); the message
+    may add details, such as the limit that was hit.
     """
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
+    def __init__(self, reason: str, detail: str = ""):
+        super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason

@@ -335,9 +335,6 @@ class Matrix:
         return Matrix(self.field, len(rows), len(cols),
                       tuple(tuple(self.entries[i][j] for j in cols) for i in rows))
 
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.entries)
-
     def rref(self) -> tuple:
         """Unique reduced row-echelon form and its pivot columns.
 

@@ -372,6 +372,27 @@ def test_decide_budget_exhaustion_is_inconclusive(algebras):
     assert verdict == "inconclusive" and w is None
 
 
+@pytest.mark.parametrize("field", [F3, F5, QQ], ids=["F3", "F5", "Q"])
+def test_decide_twist_shift_pair_is_inconclusive(field):
+    """x, y, z even with [x, y] = z: theta = id against theta(x) = x + z.
+
+    The identity maps are an isoclinism, but every intertwiner E of the two
+    twists has a zero x-row, so no isomorphism exists and an exhausted
+    prime-field search proves only that.  The stem fingerprints agree, so
+    the verdict is inconclusive, never not-isoclinic."""
+    space = SuperSpace(3, 0, ("x", "y", "z"))
+    brackets = {(0, 1): {2: 1}}
+    g1 = HomLieSuperalgebra(space, brackets, Matrix.identity(field, 3))
+    g2 = HomLieSuperalgebra(space, brackets,
+                            Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [1, 0, 1]], 3))
+    q1, _, _ = central_quotient(g1)
+    d1, _ = derived_algebra(g1)
+    w = IsoclinismWitness(EvenLinearMap.identity(field, q1.space),
+                          EvenLinearMap.identity(field, d1.space))
+    assert verify_isoclinism(g1, g2, w).passed
+    assert isoclinic_decide(g1, g2) == ("inconclusive", None)
+
+
 def test_decide_requires_matching_fields(algebras):
     with pytest.raises(PreconditionError):
         isoclinic_decide(algebras["hs"], algebras["hs_f3"])

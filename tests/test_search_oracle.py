@@ -1,33 +1,41 @@
-"""The pruned `iso_search` against the brute-force reference enumerator.
+"""`iso_search` against the positional reference enumerators.
 
 Pairs are generated from small base algebras: reflexive pairs, transports
 g -> P.g by seeded random even changes of basis P, and pairs whose twists
 share a characteristic polynomial without being conjugate.  Graded dims
 stay at most (2|2) over F_3 and F_5 and at most (2|1) or (1|2) over Q.
-Every pair runs at every budget in BUDGETS; the two searches must return
-the same matrix or None, or raise SearchInconclusive for the same reason.
-Over F_5 at (2|2) each even block spans 625 candidates and the first
-eleven are singular, so budgets 7, 100, 1000 and 6561 all end inside the
-range of a rejected even block.
+
+At an unbounded budget the search must give what the references give:
+the same matrix entries, the same None, or SearchInconclusive for the same
+reason.  The brute-force reference checks every pair whose candidate
+family has at most BRUTE_FORCE_LIMIT positions, the block-pruned one the
+rest.  The references count their budget in positions of the candidate
+order and the search in examined nodes, so at a finite budget the search
+is checked against its own unbounded result instead: at every budget in
+BUDGETS it must give that result or SearchInconclusive("budget"), and
+once definitive it must stay definitive at every larger budget.
 
 The default set runs in a few seconds; `pytest --sweep` also runs a larger
 sweep with more transports per base algebra.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from reference_search import reference_iso_search
+from reference_search import pruned_reference_iso_search, reference_iso_search
 
-from homsuper.core import HomLieSuperalgebra, SuperSpace, abelian
+from homsuper.core import HomLieSuperalgebra, SuperSpace, abelian, direct_sum
 from homsuper.corpus import g22, hs, hs2, t2
 from homsuper.errors import SearchInconclusive
-from homsuper.isoclinism import iso_search
+from homsuper.isoclinism import DEFAULT_BUDGET, DEFAULT_SCALARS, iso_search
 from homsuper.linalg import GF, QQ, Matrix
 
-BUDGETS = (0, 1, 7, 100, 1000, 6561)
+BUDGETS = (0, 1, 4, 5, 7, 10, 11, 100, 1000, 6561)
+UNBOUNDED = 10 ** 12
+BRUTE_FORCE_LIMIT = 10_000
 F3, F5 = GF(3), GF(5)
 
 
@@ -104,11 +112,10 @@ def _pairs(field, bases, transports, seed):
 
 
 def _tier1_cases():
-    """About two seconds of pairs covering every outcome: found maps,
-    None over F_p, both inconclusive reasons, budgets ending inside
-    skipped ranges (g22 over F_3 and F_5), exactly at the end of the
-    restricted family (hs/scaled over Q: 100 candidates), and empty even
-    or odd blocks."""
+    """Pairs covering every outcome: found maps, None over F_p, both
+    inconclusive reasons (hs/scaled over Q exhausts its restricted family
+    of 100 candidates), pairs the brute-force reference cannot finish
+    (g22 over F_5: 5^8 positions), and empty even or odd blocks."""
     def pick(cases, *names):
         return [c for c in cases if c[0] in names]
 
@@ -149,12 +156,26 @@ def _outcome(search, g1, g2, budget):
     return ("none", None) if found is None else ("map", found.matrix.entries)
 
 
+def _positions(g):
+    """The size of the candidate family the references walk."""
+    p, q = g.space.dims
+    if g.field.p is not None:
+        return g.field.p ** (p * p + q * q)
+    return math.factorial(p) * math.factorial(q) * len(DEFAULT_SCALARS) ** (p + q)
+
+
 def _check_agreement(cases):
     for name, g1, g2 in cases:
+        small = _positions(g1) <= BRUTE_FORCE_LIMIT
+        reference = reference_iso_search if small else pruned_reference_iso_search
+        want = _outcome(reference, g1, g2, UNBOUNDED)
+        assert _outcome(iso_search, g1, g2, UNBOUNDED) == want, name
+        definitive = False
         for budget in BUDGETS:
-            want = _outcome(reference_iso_search, g1, g2, budget)
             got = _outcome(iso_search, g1, g2, budget)
-            assert got == want, (name, budget)
+            assert got in (want, ("inconclusive", "budget")), (name, budget)
+            assert not definitive or got == want, (name, budget)
+            definitive = got == want
 
 
 def test_pruned_search_matches_reference():
@@ -164,3 +185,34 @@ def test_pruned_search_matches_reference():
 @pytest.mark.sweep
 def test_pruned_search_matches_reference_sweep():
     _check_agreement(_sweep_cases())
+
+
+def test_search_wall_is_definitive():
+    """Dense transports of g22 (+) hs over F_3, (3|3), and of g22 over F_7
+    are definitive under the default budget, with the block-pruned
+    reference's map.  Counted in positions, both ran out of the budget."""
+    rng = random.Random(23)
+    for g in (direct_sum(g22(F3), hs(F3)), g22(GF(7))):
+        for _ in range(2):
+            p, q = g.space.dims
+            h = transport(g, random_even(g.field, p, q, rng, monomial=False))
+            want = _outcome(pruned_reference_iso_search, g, h, UNBOUNDED)
+            assert want[0] == "map"
+            assert _outcome(iso_search, g, h, DEFAULT_BUDGET) == want
+
+
+@pytest.mark.parametrize("name, g, nodes", [("hs/F3", hs(F3), 5), ("g22/F3", g22(F3), 11)])
+def test_budget_counts_examined_nodes(name, g, nodes):
+    """The budget unit is one examined node, the root included.
+
+    hs over F_3, (1|1): the root, E = 0 (singular), E = 1, O = 0
+    (singular), O = 1, which is the identity: 5 nodes.  g22 over F_3,
+    (2|2), walked one row at a time: [e1, e2] = 2e2 forces E[0, 1] = 0, a
+    linear condition, so E's first row takes two nodes, (0, 0) and (1, 0);
+    its second row two more, (0, 0) and (0, 1); O's first row two, (0, 0)
+    and (0, 1); and its second row four, (0, 0), (0, 1) and (0, 2), which
+    repeat the first row, and (1, 0).  With the root that is 11 nodes, and
+    the map found is the identity on the even part and the swap f1 <-> f2
+    on the odd part."""
+    assert _outcome(iso_search, g, g, nodes)[0] == "map", name
+    assert _outcome(iso_search, g, g, nodes - 1) == ("inconclusive", "budget"), name
