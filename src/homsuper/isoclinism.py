@@ -314,57 +314,56 @@ def _equations(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra) -> list:
     entry, entry), with like terms merged and zero terms dropped; entries
     off the parity blocks are zero and appear in no term.
     """
-    f = g1.field
     d = g1.dim
-    par = g1.space.parity
+    even = g1.space.even_dim
 
-    def entry(r, c):
-        return r * d + c if par(r) == par(c) else None
+    def block(i):
+        return range(even) if i < even else range(even, d)
 
     raw = []
+    theta2 = [_sparse_vec(r) for r in g2.twist.entries]
     for c in range(d):
         theta1 = _sparse_vec(g1.twist.col(c))
-        for k in range(d):
+        for k in block(c):
             lin = {}
             for m, t in theta1:
-                _add_term(lin, entry(k, m), t)
-            for l, t in _sparse_vec(g2.twist.row(k)):
-                _add_term(lin, entry(l, c), -t)
+                _add_term(lin, k * d + m, t)
+            for l, t in theta2[k]:
+                _add_term(lin, l * d + c, -t)
             raw.append((lin, {}))
     rows2 = g2.table.rows
     for i in range(d):
         for j in range(i, d):
-            lins = [{} for _ in range(d)]
-            quads = [{} for _ in range(d)]
+            eqs = {}
             for m, v in g1.table.cell(i, j).items():
-                for k in range(d):
-                    _add_term(lins[k], entry(k, m), v)
-            for a in range(d):
-                ai = entry(a, i)
-                if ai is None:
-                    continue
+                for k in block(m):
+                    eqs.setdefault(k, ({}, {}))[0][k * d + m] = v
+            for a in block(i):
                 for b, (s, cell) in rows2[a].items():
-                    bj = entry(b, j)
-                    if bj is None:
+                    if (b < even) != (j < even):
                         continue
+                    key = (min(a * d + i, b * d + j), max(a * d + i, b * d + j))
                     for k, v in cell.items():
-                        _add_term(quads[k], (min(ai, bj), max(ai, bj)), -v if s > 0 else v)
-            raw.extend(zip(lins, quads))
-    mod = f.p
+                        _add_term(eqs.setdefault(k, ({}, {}))[1], key, -v if s > 0 else v)
+            raw.extend(eqs.values())
+    mod = g1.field.p
     out = []
     for lin, quad in raw:
-        lin = tuple((c % mod if mod else c, i) for i, c in lin.items()
-                    if (c % mod if mod else c))
-        quad = tuple((c % mod if mod else c, i, j) for (i, j), c in quad.items()
-                     if (c % mod if mod else c))
+        if mod:
+            lin = {i: c % mod for i, c in lin.items()}
+            quad = {ij: c % mod for ij, c in quad.items()}
+        lin = tuple((c, i) for i, c in lin.items() if c)
+        quad = tuple((c, i, j) for (i, j), c in quad.items() if c)
         if lin or quad:
             out.append((lin, quad))
     return out
 
 
 def _add_term(acc: dict, key, c):
-    if key is not None:
-        acc[key] = acc.get(key, 0) + c
+    if key in acc:
+        acc[key] += c
+    else:
+        acc[key] = c
 
 
 def _entries(eq) -> list:
