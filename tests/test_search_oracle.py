@@ -211,7 +211,7 @@ def test_budget_counts_examined_nodes(name, g, nodes):
     linear condition, so E's first row takes two nodes, (0, 0) and (1, 0);
     its second row two more, (0, 0) and (0, 1); O's first row two, (0, 0)
     and (0, 1); and its second row four, (0, 0), (0, 1) and (0, 2), which
-    repeat the first row, and (1, 0).  With the root that is 11 nodes, and
+    lie in the span of the first row, and (1, 0).  With the root that is 11 nodes, and
     the map found is the identity on the even part and the swap f1 <-> f2
     on the odd part."""
     assert _outcome(iso_search, g, g, nodes)[0] == "map", name
