@@ -6,8 +6,9 @@
 The base commit is extracted with `git archive`, as scripts/bench.py
 does; the working tree is run in place.  Each side runs the same fixed
 list of `python -m homsuper.cli` calls in subprocesses, from a scratch
-directory holding a copy of its own corpus/, so that the file names echoed
-in the reports agree:
+directory holding a copy of its own corpus/ and of the working tree's
+tests/golden/cli/inputs/, so that the file names echoed in the reports
+agree:
 
   * check, invariants, stem-decompose (JSON with --output, and text) and
     factorset -> extend -> check, chained through --output files, on every
@@ -15,7 +16,9 @@ in the reports agree:
   * quotient by each basis vector, by name where the file names its basis
     and by coordinates otherwise;
   * iso-search and isoclinic --decide on every ordered pair of corpus
-    files over the same field.
+    files over the same field;
+  * check on the inputs that fail the Jacobi identity and extend on the
+    one that fails the cocycle identity, so that failure lists count too.
 
 Every call whose stdout, exit code or --output bytes differ between the
 two sides is printed, and the script exits 1 if any differ, 0 otherwise.
@@ -34,6 +37,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from bench import ROOT, extract
+
+INPUTS = ROOT / "tests" / "golden" / "cli" / "inputs"
+#: Invalid inputs under INPUTS, with the command whose failure report they pin.
+INVALID = (("check", "jacobi_dense_q.json"), ("check", "jacobi_f3.json"),
+           ("extend", "cocycle_g22_hs.json"))
 
 
 def cases(corpus: Path) -> list:
@@ -60,12 +68,14 @@ def cases(corpus: Path) -> list:
             if da["field"] == db["field"]:
                 pair = [f"corpus/{a}.json", f"corpus/{b}.json"]
                 chains += [[["iso-search", *pair]], [["isoclinic", *pair, "--decide"]]]
+    chains += [[[command, f"inputs/{name}"]] for command, name in INVALID]
     return chains
 
 
 def run_side(tree: Path, work: Path, chains: list) -> list:
     """(exit code, stdout, --output bytes or None) of every call, by chain."""
     shutil.copytree(tree / "corpus", work / "corpus")
+    shutil.copytree(INPUTS, work / "inputs")
     (work / "out").mkdir()
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
 

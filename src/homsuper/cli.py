@@ -14,7 +14,8 @@ Subcommands wrap every library capability:
 
 Exit codes: 0 success/true, 1 checked-false or failed precondition,
 2 input error (every command but check also rejects an algebra file that
-fails the axioms), 3 inconclusive, 4 internal error (a constructed object
+fails the axioms, and extend a factor-set file whose quotient does),
+3 inconclusive, 4 internal error (a constructed object
 failed re-validation, or an input the checks let through broke a
 construction).  Reports are byte-deterministic JSON
 (or --format text); --output writes the primary constructed object so
@@ -347,6 +348,8 @@ def cmd_extend(args):
     if args.field and fs.field.name != args.field:
         raise FormatError(
             f"{args.file} is over {fs.field.name}, but --field {args.field} was required")
+    if not check_axioms(fs.quotient).passed:
+        raise FormatError(f"the quotient in {args.file} is not a valid algebra")
     ext = extend(fs)
     if not check_axioms(ext.algebra).passed:
         raise HomSuperError("extension failed re-validation")

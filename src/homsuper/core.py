@@ -15,11 +15,13 @@ Conventions used throughout the package:
     skew-symmetry (validators tolerate and flag explicitly injected
     i > j entries);
   * all values are immutable and all operations are pure.  The
-    invariants of an algebra (center, derived subalgebra, the axiom
-    checks and, in isoclinism, the central quotient, derived algebra and
-    fingerprint) are memoised on the algebra object on first use, so an
-    algebra must never be mutated after construction: a memo would keep
-    answering for the old structure constants.
+    invariants of an algebra (center, derived subalgebra, the
+    multiplicativity and regularity checks and, in isoclinism, the
+    central quotient, derived algebra and fingerprint) are memoised on the
+    algebra object on first use, and the validation report of a factor set
+    (`factorset.validate_factor_set`) on the factor set, so neither may be
+    mutated after construction: a memo would keep answering for the old
+    structure constants or coefficients.
 """
 
 from __future__ import annotations
@@ -29,16 +31,17 @@ from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .linalg import (Field, Matrix, Subspace, _accumulate, _dense_vec, _reduced_vec,
-                     _sparse_vec, basis_vec, vec_is_zero, vec_scale, zero_vec)
+from .linalg import (Field, Matrix, Subspace, _Slots, _accumulate, _dense_vec,
+                     _int_scale, _reduced_vec, basis_vec, vec_is_zero, vec_scale,
+                     zero_vec)
 
 EVEN, ODD = 0, 1
 
 
 def _once(fn):
-    """Memoise the invariant fn(g) in the instance dict of the algebra g,
-    keyed by the public function, as cached_property caches
-    GradedBilinearTable.rows: a memo lives and dies with its algebra, and
+    """Memoise the invariant fn(g) in the instance dict of g, an algebra or
+    a factor set, keyed by the public function, as cached_property caches
+    GradedBilinearTable.rows: a memo lives and dies with its object, and
     equality and repr, which read the dataclass fields only, ignore it."""
     @wraps(fn)
     def once(g):
@@ -181,6 +184,18 @@ class GradedBilinearTable:
                     _accumulate(acc, cell.items(), xi * yj if s > 0 else -(xi * yj))
         return _reduced_vec(self.field, self.target.dim, acc)
 
+    def _int_rows(self) -> tuple:
+        """(scale, rows, cells) for the identity kernels: scale is the lcm of
+        the stored values' denominators (1 over F_p), cells holds every
+        stored cell once as its (k, value * scale) int pairs, and rows is the
+        row index with those pairs in place of the cell dicts it refers to."""
+        scale = _int_scale(v for cell in self.cells.values() for v in cell.values())
+        ints = {id(cell): tuple((k, v.numerator * (scale // v.denominator))
+                                for k, v in cell.items())
+                for cell in self.cells.values()}
+        rows = [{j: (s, ints[id(cell)]) for j, (s, cell) in row.items()} for row in self.rows]
+        return scale, rows, tuple(ints.values())
+
     def parity_failures(self, axiom: str) -> tuple:
         """Stored values off the parity |i| + |j|."""
         f = self.field
@@ -292,21 +307,69 @@ def check_graded_skew(g: HomLieSuperalgebra) -> ValidationReport:
     return ValidationReport(g.table.skew_failures("graded-skew"))
 
 
+def _twisted_adjoint(packed_rows: list, twist_rows: list) -> list:
+    """adj[a][m] = sum_l T[l, a] * packed_rows[l][m] for the int twist rows
+    T[l] = ((a, T[l, a]), ...): with packed_rows the packed row index of a
+    bracket, adj[a][m] is the packed [theta(b_a), b_m].  Built from the
+    nonzero cells of the row index, one multiply-add per cell and twist
+    entry."""
+    n = len(packed_rows)
+    adj = [[0] * n for _ in twist_rows]
+    for row, trow in zip(packed_rows, twist_rows):
+        for a, t in trow:
+            out = adj[a]
+            for m, x in row.items():
+                out[m] += t * x
+    return adj
+
+
+def _int_twist(twist: Matrix) -> tuple:
+    """(scale, rows, column bound): the sparse rows of the twist as ints
+    scaled by the lcm of its denominators, and the largest absolute column
+    sum of those ints."""
+    scale = _int_scale(x for row in twist._sparse_rows for _, x in row)
+    rows = [[(a, x.numerator * (scale // x.denominator)) for a, x in row]
+            for row in twist._sparse_rows]
+    cols = [0] * twist.ncols
+    for row in rows:
+        for a, x in row:
+            cols[a] += abs(x)
+    return scale, rows, max(cols, default=0)
+
+
+def _cell_bounds(cells: tuple) -> tuple:
+    """(largest absolute entry, largest absolute cell sum) of int cells."""
+    return (max((abs(v) for cell in cells for _, v in cell), default=0),
+            max((sum(abs(v) for _, v in cell) for cell in cells), default=0))
+
+
+def _packed_rows(rows: list, cells: tuple, slots: _Slots) -> list:
+    """The int rows of `GradedBilinearTable._int_rows` with every cell packed
+    once and each entry's sign applied to the packed int."""
+    packed = {id(cell): slots.pack(cell) for cell in cells}
+    return [{j: s * packed[id(cell)] for j, (s, cell) in row.items()} for row in rows]
+
+
 def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
     """Twisted Jacobi identity on all ordered basis triples i <= j <= k
     (sufficient given trilinearity and graded skew-symmetry).
 
     The triple's sum is sgn * [theta(b_a), [b_b, b_c]] over its three
     cyclic terms; a triple whose inner brackets [b_j, b_k], [b_i, b_j] and
-    [b_k, b_i] all vanish is zero and skipped.  The rest is summed raw over
-    the nonzero cells of the row index and sparse twist columns, with the
-    signs as ints, and reduced once per entry."""
+    [b_k, b_i] all vanish is zero and skipped.  The rest is summed over
+    ints (see `_Slots`): the structure constants are scaled by L and the
+    twist by M, which scales every term by L^2 M, and [theta(b_a), b_m] is
+    one packed int, so each inner bracket entry costs one multiply-add."""
     f = g.field
-    p = f.p
     d = g.dim
-    rows = g.table.rows
+    scale_b, rows, cells = g.table._int_rows()
+    scale_t, twist_rows, twist_bound = _int_twist(g.twist)
+    entry_bound, cell_bound = _cell_bounds(cells)
+    slots = _Slots(f, d, 3 * cell_bound * twist_bound * entry_bound,
+                   scale_b * scale_b * scale_t)
+    adj = _twisted_adjoint(_packed_rows(rows, cells, slots), twist_rows)
     odd = [g.space.parity(t) == ODD for t in range(d)]
-    theta_col = [_sparse_vec(g.twist.col(a)) for a in range(d)]
+    is_zero = slots.is_zero
     fails = []
     for i in range(d):
         for j in range(i, d):
@@ -316,25 +379,19 @@ def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
                 ki = rows[k].get(i)
                 if ij is None and jk is None and ki is None:
                     continue
-                total = {}
-                for a, inner, sgn in ((i, jk, -1 if odd[i] and odd[k] else 1),
-                                      (k, ij, -1 if odd[k] and odd[j] else 1),
-                                      (j, ki, -1 if odd[j] and odd[i] else 1)):
+                total = 0
+                for a, inner, c in ((i, jk, k), (k, ij, j), (j, ki, i)):
                     if inner is None:
                         continue
-                    s_in, cell_in = inner
-                    s_in *= sgn
-                    for m, v in cell_in.items():
-                        sv = v if s_in > 0 else -v
-                        for l, t in theta_col[a]:
-                            outer = rows[l].get(m)
-                            if outer is not None:
-                                s_out, cell_out = outer
-                                _accumulate(total, cell_out.items(),
-                                            t * sv if s_out > 0 else -(t * sv))
-                if any(total.values()) if p is None else any(x % p for x in total.values()):
-                    fails.append(Failure("hom-jacobi", (i, j, k),
-                                         _reduced_vec(f, d, total), zero_vec(f, d)))
+                    sgn, cell = inner
+                    out = adj[a]
+                    term = 0
+                    for m, v in cell:
+                        term += v * out[m]
+                    total += -term if (sgn < 0) != (odd[a] and odd[c]) else term
+                if not is_zero(total):
+                    fails.append(Failure("hom-jacobi", (i, j, k), slots.unpack(total),
+                                         zero_vec(f, d)))
     return ValidationReport(tuple(fails))
 
 

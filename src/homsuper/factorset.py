@@ -16,11 +16,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .core import (ODD, EvenLinearMap, Failure, GradedBilinearTable, GradedSubspace,
-                   HomLieSuperalgebra, SuperSpace, ValidationReport,
-                   _check_even_matrix, center, check_multiplicative,
-                   check_regular, is_isomorphism, quotient)
+                   HomLieSuperalgebra, SuperSpace, ValidationReport, _cell_bounds,
+                   _check_even_matrix, _int_twist, _once, _packed_rows, _twisted_adjoint,
+                   center, check_multiplicative, check_regular, is_isomorphism, quotient)
 from .errors import HomSuperError, PreconditionError
-from .linalg import Field, Matrix, _accumulate, _reduced_vec, _sparse_vec, vec_sub
+from .linalg import Field, Matrix, _Slots, vec_sub
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class FactorSet:
         return self.table.eval(u, v)
 
 
+@_once
 def validate_factor_set(fs: FactorSet) -> ValidationReport:
     """Parity of every coefficient, graded skew-symmetry (derived entries
     included), and the twist-compatible cocycle identity
@@ -65,61 +66,69 @@ def validate_factor_set(fs: FactorSet) -> ValidationReport:
     on all ordered basis triples, by bilinear expansion.
 
     Both sides vanish on a triple whose brackets [n_i, n_j], [n_j, n_k]
-    and [n_i, n_k] all vanish, so only the other triples are expanded,
-    over the nonzero cells of the row indexes and sparse twist columns,
-    as raw sums reduced once per entry.  The difference lhs - rhs is
-    summed first; the two sides are expanded apart only when it fails."""
+    and [n_i, n_k] all vanish, so only the other triples are expanded.  The
+    sides are summed over ints (see `_Slots`): quotient brackets scaled by
+    L, coefficients by R and the twist by M, which scales every term by
+    L R M; r(b_m, T b_k) and r(T b_k, b_m) are one packed int each.
+
+    With D(i, j, k) = lhs - rhs, D(j, i, k) = -(-1)^{|i||j|} D(i, j, k)
+    whenever the quotient's brackets are graded skew-symmetric as stored,
+    that is, without injected i > j cells.  Then only the triples with
+    i <= j are summed, unless one fails: the failures are listed from the
+    walk over all ordered triples.  The report is memoised on the factor
+    set."""
     f = fs.field
-    p = f.p
     q = fs.quotient
     dq, dz = q.dim, fs.center_space.dim
-    qrows, rrows = q.table.rows, fs.table.rows
     fails = list(fs.table.parity_failures("factor-parity")
                  + fs.table.skew_failures("factor-skew"))
-    tw = [_sparse_vec(q.twist.col(i)) for i in range(dq)]
-
-    def expand(acc, c, bracket, twisted, bracket_left):
-        """acc += c * r(bracket, T(b_twisted)), or c * r(T(b_twisted), bracket)
-        when bracket_left is false; c is the int 1 or -1."""
-        s_in, cell_in = bracket
-        c *= s_in
-        for m, v in cell_in.items():
-            cv = v if c > 0 else -v
-            for l, t in tw[twisted]:
-                hit = rrows[m].get(l) if bracket_left else rrows[l].get(m)
-                if hit is not None:
-                    s_r, cell_r = hit
-                    _accumulate(acc, cell_r.items(), cv * t if s_r > 0 else -(cv * t))
-
+    scale_q, qrows, qcells = q.table._int_rows()
+    scale_r, rrows, rcells = fs.table._int_rows()
+    scale_t, twist_rows, twist_bound = _int_twist(q.twist)
+    slots = _Slots(f, dz, 3 * _cell_bounds(qcells)[1] * twist_bound * _cell_bounds(rcells)[0],
+                   scale_q * scale_r * scale_t)
+    packed = _packed_rows(rrows, rcells, slots)
+    transposed = [{} for _ in range(dq)]
+    for m, row in enumerate(packed):
+        for l, x in row.items():
+            transposed[l][m] = x
+    left = _twisted_adjoint(transposed, twist_rows)   # r(b_m, T b_k)
+    right = _twisted_adjoint(packed, twist_rows)      # r(T b_k, b_m)
     odd = [q.space.parity(i) == ODD for i in range(dq)]
-    for i in range(dq):
-        for j in range(dq):
-            ij = qrows[i].get(j)
-            sgn = 1 if odd[i] and odd[j] else -1
-            for k in range(dq):
-                jk, ik = qrows[j].get(k), qrows[i].get(k)
-                if ij is None and jk is None and ik is None:
-                    continue
-                diff = {}
-                if ij is not None:
-                    expand(diff, 1, ij, k, True)
-                if jk is not None:
-                    expand(diff, -1, jk, i, False)
-                if ik is not None:
-                    expand(diff, -sgn, ik, j, False)
-                if not (any(diff.values()) if p is None
-                        else any(x % p for x in diff.values())):
-                    continue
-                lhs, rhs = {}, {}
-                if ij is not None:
-                    expand(lhs, 1, ij, k, True)
-                if jk is not None:
-                    expand(rhs, 1, jk, i, False)
-                if ik is not None:
-                    expand(rhs, sgn, ik, j, False)
-                fails.append(Failure("factor-cocycle", (i, j, k),
-                                     _reduced_vec(f, dz, lhs), _reduced_vec(f, dz, rhs)))
-    return ValidationReport(tuple(fails))
+
+    def expand(entry, table):
+        """sum_m [n, n'][m] * table[m] for the row entry (sign, cell) of the
+        bracket [n, n'], 0 for a vanishing bracket."""
+        if entry is None:
+            return 0
+        sgn, cell = entry
+        total = 0
+        for m, v in cell:
+            total += v * table[m]
+        return total if sgn > 0 else -total
+
+    def walk(ordered):
+        out = []
+        for i in range(dq):
+            for j in range(dq) if ordered else range(i, dq):
+                ij = qrows[i].get(j)
+                eps = -1 if odd[i] and odd[j] else 1
+                for k in range(dq):
+                    jk, ik = qrows[j].get(k), qrows[i].get(k)
+                    if ij is None and jk is None and ik is None:
+                        continue
+                    lhs = expand(ij, left[k])
+                    rhs = expand(jk, right[i]) - eps * expand(ik, right[j])
+                    if not slots.is_zero(lhs - rhs):
+                        out.append(Failure("factor-cocycle", (i, j, k),
+                                           slots.unpack(lhs), slots.unpack(rhs)))
+        return out
+
+    ordered = any(i > j for i, j in q.table.cells)
+    cocycle = walk(ordered)
+    if cocycle and not ordered:
+        cocycle = walk(True)
+    return ValidationReport(tuple(fails + cocycle))
 
 
 def check_multiplicative_factor_set(fs: FactorSet) -> bool:

@@ -16,6 +16,31 @@ entries, multiply and add with plain `*`, `+` and `-` instead of the
 over Q, where `Fraction` arithmetic is already canonical.  An entry that
 receives no term is the field's zero.  The results are the values, of the
 same types, that reducing after every operation would give.
+
+The two identity kernels, `core.check_hom_jacobi` and
+`factorset.validate_factor_set`, run on ints over both fields:
+  * scaling: over Q each call clears denominators once, multiplying the
+    bracket (or quotient-bracket and coefficient) cells by the lcm of
+    their denominators and the twist by its own.  Every term of either
+    identity has the same degree in each of these, so the scaled sum is
+    the true one times one known scale.  Over F_p the residues are taken
+    as ints and the scale is 1;
+  * packing (`_Slots`): a target-coordinate vector is one int, entry k in
+    the slot at bit w * k.  The tables [theta(b_a), b_m], or r(b_m, T b_k)
+    and r(T b_k, b_m), are built packed from the row index, so each inner
+    term of a triple is one big-int multiply-add;
+  * slot width: each call bounds the absolute entries of any sum it tests
+    by 3 x (largest inner cell sum) x (largest twist column sum) x
+    (largest outer entry), all in scaled ints, and derives w from that
+    bound, so no slot carries into the next;
+  * zero test: over Q the packed sum is 0.  Over F_p every slot must
+    vanish mod p; an offset that is a multiple of p makes the slots
+    nonnegative, and one multiply, shift and mask by a constant yields all
+    their quotients by p (see `_Slots`);
+  * records: a failing triple's sums are unpacked from the same slots,
+    each entry divided by the scale as a `Fraction` over Q or reduced
+    mod p over F_p, so a `Failure` holds the same values, of the same
+    types, as the scalar kernels would give.
 """
 
 from __future__ import annotations
@@ -23,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError, PreconditionError
@@ -213,6 +239,76 @@ def _accumulate(acc: dict, terms: tuple, c):
             acc[k] += c * x
         else:
             acc[k] = c * x
+
+
+def _int_scale(values) -> int:
+    """The lcm of the denominators of canonical scalars: 1 over F_p, whose
+    residues are ints.  x.numerator * (scale // x.denominator) is then the
+    int x * scale in both fields."""
+    return lcm(*{x.denominator for x in values})
+
+
+class _Slots:
+    """Integer vectors of length n packed into one int, entry k in the slot
+    at bit w * k, for the identity kernels of `core` and `factorset`.
+
+    Packing is linear over the ints, so a kernel sums packed values with one
+    big-int multiply-add per term.  Every vector it tests or unpacks must
+    have entries of absolute value at most `bound`; the width w is derived
+    from that bound, so no slot carries into the next.  Over Q the packed
+    vectors are `scale` times the field vectors; over F_p they are lifts of
+    the residues (scale 1), reduced only in `is_zero` and `unpack`.
+    """
+
+    def __init__(self, field: Field, n: int, bound: int, scale: int):
+        p = field.p
+        self.p, self.n, self.scale = p, n, scale
+        if p is None:
+            # |entry| < 2^(w-1): the signed slots are unique, and zero only
+            # when every entry is
+            self.w = bound.bit_length() + 1
+            return
+        # Shifted by c, a multiple of p, the entries lie in [0, 2c].  For
+        # such u, (u * m) >> s = u // p (Granlund-Montgomery, 2^s >= (2c + 1) p),
+        # and u * m < 2^w, so one product, shift and mask give every slot's
+        # quotient by p at once.
+        c = -(-bound // p) * p
+        self._shift = s = ((2 * c + 1) * p).bit_length()
+        self._magic = m = -(-(1 << s) // p)
+        self.w = w = max(s + 1, (2 * c * m).bit_length())
+        ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)
+        self._offset = c * ones
+        self._low = ((1 << (w - s)) - 1) * ones
+
+    def pack(self, entries) -> int:
+        """The packed vector with the given (index, int) entries."""
+        w = self.w
+        return sum(v << (w * k) for k, v in entries)
+
+    def is_zero(self, x: int) -> bool:
+        """True when the packed vector x is zero in the field."""
+        p = self.p
+        if p is None:
+            return not x
+        u = x + self._offset
+        return u == p * (((u * self._magic) >> self._shift) & self._low)
+
+    def unpack(self, x: int) -> tuple:
+        """The field vector of x: each entry divided by the scale over Q,
+        reduced mod p over F_p."""
+        w = self.w
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        out = []
+        for _ in range(self.n):
+            v = x & mask
+            if v >= half:
+                v -= mask + 1
+            out.append(v)
+            x = (x - v) >> w
+        p = self.p
+        if p is None:
+            return tuple(Fraction(v, self.scale) for v in out)
+        return tuple(v % p for v in out)
 
 
 @dataclass(frozen=True)

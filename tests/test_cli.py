@@ -5,7 +5,10 @@ each command in manifest.json, run from the repository root; the reports
 must stay byte-identical.  A case marked "artifact" is also run with
 --output, and the written file must equal <slug>.artifact.json; later
 cases read those files, so each --output is fed back into the next
-command.  Hand-written inputs (witness files) live in inputs/.
+command.  Hand-written inputs live in inputs/: witness files, two algebras
+that fail the Jacobi identity (a dense transport over Q with one bracket
+value changed, so the failing sums are fractional, and one over F_3), and a
+factor set that fails the cocycle identity.
 """
 
 import json
@@ -84,6 +87,20 @@ def test_factorset_center_twist_crossing_parity(tmp_path, capsys):
     save_json(str(path), data)
     assert_input_error(["extend", str(path)], capsys,
                        "center twist must be parity-even: nonzero entry at (0, 1)")
+
+
+def test_extend_rejects_invalid_quotient(tmp_path, capsys):
+    """A factor-set file whose quotient fails the axioms is bad input (exit
+    2), rejected on load like an algebra file, not an extension that fails
+    re-validation (exit 4).  The center is 0, so the factor set itself is
+    valid."""
+    data = json.loads((GOLDEN / "factorset_g22.artifact.json").read_text())
+    cell = next(c for c in data["quotient"]["brackets"] if (c["i"], c["j"]) == (0, 1))
+    cell["result"] = {"1": "3"}
+    path = tmp_path / "fs.json"
+    save_json(str(path), data)
+    assert_input_error(["extend", str(path)], capsys,
+                       f"the quotient in {path} is not a valid algebra")
 
 
 def test_witness_conventions_not_an_object(tmp_path, corpus_dir, algebras, capsys):

@@ -1,15 +1,19 @@
-"""Invariants memoised per algebra object.
+"""Invariants memoised per algebra and per factor-set object.
 
 `center`, `derived`, `check_multiplicative`, `check_regular`,
 `central_quotient`, `derived_algebra` and `fingerprint` store their value
-on the algebra they are called with.  A memoised value must equal the
-unmemoised function on a separately loaded equal copy, a second call
-must return the same object without any RREF, and the memo must not leak
-into the algebra's equality or repr.  A decision on warm algebras must
-give the same verdict and witness bytes as one on freshly loaded copies.
+on the algebra they are called with, and `validate_factor_set` on the
+factor set.  A memoised value must equal the unmemoised function on a
+separately loaded equal copy, a second call must return the same object
+without any RREF (for `validate_factor_set`, without any integer kernel
+work), and the memo must not leak into equality or repr.  A decision on
+warm algebras must give the same verdict and witness bytes as one on
+freshly loaded copies.
 
 Inputs are seeded: corpus stems, optionally with an abelian pad, moved by
-a random invertible even change of basis, over Q, F_3 and F_5.
+a random invertible even change of basis, over Q, F_3 and F_5; the factor
+sets are read off those algebras whose default complement of the center
+is twist-invariant.
 """
 
 import itertools
@@ -20,9 +24,12 @@ import pytest
 from test_search_oracle import random_even, transport
 
 from homsuper import core, isoclinism
-from homsuper.core import abelian, direct_sum
+from homsuper.core import GradedBilinearTable, abelian, direct_sum
 from homsuper.corpus import corpus, g22, hs, hs2, t2
-from homsuper.fileio import algebra_from_dict, algebra_to_dict, dumps_canonical, witness_to_dict
+from homsuper.errors import PreconditionError
+from homsuper.factorset import factor_set_from_complement, validate_factor_set
+from homsuper.fileio import (algebra_from_dict, algebra_to_dict, dumps_canonical,
+                             factorset_from_dict, factorset_to_dict, witness_to_dict)
 from homsuper.linalg import GF, QQ, Matrix
 
 MEMOISED = (core.center, core.derived, core.check_multiplicative, core.check_regular,
@@ -84,6 +91,69 @@ def test_second_call_is_the_same_object_without_rref(fn, g, rref_calls):
     rref_calls.clear()
     assert fn(g) is first
     assert rref_calls == []
+
+
+def _with_factor_set(g):
+    try:
+        factor_set_from_complement(g)
+    except PreconditionError:
+        return False
+    return True
+
+
+FACTOR_SET_ALGEBRAS = [g for g in GENERATED if _with_factor_set(g.values[0])]
+
+
+def reload_factor_set(fs):
+    """An equal copy of fs, read back from its file form."""
+    return factorset_from_dict(factorset_to_dict(fs, "copy"))[1]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The tables whose integer rows the identity kernels build."""
+    calls = []
+    original = GradedBilinearTable._int_rows
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GradedBilinearTable, "_int_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g", FACTOR_SET_ALGEBRAS)
+def test_factor_set_memo_matches_unmemoised_copy(g):
+    fs = reload_factor_set(factor_set_from_complement(g)[0])
+    copy = reload_factor_set(fs)
+    assert copy == fs and copy is not fs
+    assert validate_factor_set(fs) == validate_factor_set.__wrapped__(copy)
+    assert repr(validate_factor_set(fs)) == repr(validate_factor_set.__wrapped__(copy))
+
+
+@pytest.mark.parametrize("g", FACTOR_SET_ALGEBRAS)
+def test_second_validation_is_the_same_object_without_kernel_work(g, kernel_calls):
+    fs = reload_factor_set(factor_set_from_complement(g)[0])
+    before_eq, before_repr = reload_factor_set(fs), repr(fs)
+    kernel_calls.clear()
+    first = validate_factor_set(fs)
+    assert kernel_calls, "the first validation runs the kernel"
+    assert fs == before_eq and before_eq == fs
+    assert repr(fs) == before_repr
+    kernel_calls.clear()
+    assert validate_factor_set(fs) is first
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("g", FACTOR_SET_ALGEBRAS)
+def test_factor_set_from_complement_leaves_a_memo_hit(g, kernel_calls):
+    """factor_set_from_complement validates its factor set (through
+    extend), so validating the returned factor set again is free."""
+    fs = factor_set_from_complement(reload(g))[0]
+    kernel_calls.clear()
+    assert validate_factor_set(fs).passed
+    assert kernel_calls == []
 
 
 def _warm(g):

@@ -9,7 +9,11 @@ the same subspaces, or raise the same error.  The same kernels are also
 compared with their row-index versions that go through the Field methods
 (`field_ops_*`), which isolates the raw sums reduced once per entry.
 
-Inputs, over Q, F_3 and F_5 up to (3|3): valid algebras moved by a random
+Inputs, over Q, F_3, F_5 and F_P up to (3|3), with P the largest prime
+below `linalg._PRIME_LIMIT`, and over Q with scalars among them that are
+dense rationals with numerators and denominators up to 10^6 (so that a slot
+width of the integer identity kernels that is too small shows): valid
+algebras moved by a random
 even change of basis, the same with one bracket value changed or with a
 random (dense, mostly non-multiplicative) twist, random tables with or
 without parity, and any of these with injected i > j cells.  Factor sets
@@ -36,9 +40,10 @@ from homsuper.core import (HomLieSuperalgebra, SuperSpace, center, check_hom_jac
 from homsuper.corpus import g22, hs, hs2, t2
 from homsuper.errors import PreconditionError
 from homsuper.factorset import FactorSet, factor_set_from_complement, validate_factor_set
-from homsuper.linalg import GF, QQ, Matrix
+from homsuper.linalg import _PRIME_LIMIT, GF, QQ, Matrix, _is_prime
 
-FIELDS = (QQ, GF(3), GF(5))
+LARGEST_PRIME = next(n for n in range(_PRIME_LIMIT - 1, 2, -1) if _is_prime(n))
+FIELDS = (QQ, GF(3), GF(5), GF(LARGEST_PRIME))
 ORACLE = settings(max_examples=120, deadline=None, derandomize=True)
 
 
@@ -68,7 +73,9 @@ def transport(g, pm):
 
 def scalars(field):
     if field.p is None:
-        return st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-3, 2)]))
+        return st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-3, 2)]),
+                         st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                   st.integers(1, 10 ** 6)))
     return st.integers(0, field.p - 1)
 
 
