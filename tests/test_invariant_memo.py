@@ -58,17 +58,22 @@ def generated():
 GENERATED = generated()
 
 
-@pytest.fixture
-def rref_calls(monkeypatch):
+def _count_calls(monkeypatch, owner, name):
+    """The objects the method owner.name is called on, from now on."""
     calls = []
-    original = Matrix.rref
+    original = getattr(owner, name)
 
     def counted(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(Matrix, "rref", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    return _count_calls(monkeypatch, Matrix, "rref")
 
 
 @pytest.mark.parametrize("fn", MEMOISED, ids=lambda fn: fn.__name__)
@@ -93,15 +98,17 @@ def test_second_call_is_the_same_object_without_rref(fn, g, rref_calls):
     assert rref_calls == []
 
 
-def _with_factor_set(g):
+def _has_factor_set(g):
+    """True when g's default complement of the center gives a factor set;
+    asked of a copy, so that the memos of g stay empty."""
     try:
-        factor_set_from_complement(g)
+        factor_set_from_complement(reload(g))
     except PreconditionError:
         return False
     return True
 
 
-FACTOR_SET_ALGEBRAS = [g for g in GENERATED if _with_factor_set(g.values[0])]
+FACTOR_SET_ALGEBRAS = [g for g in GENERATED if _has_factor_set(g.values[0])]
 
 
 def reload_factor_set(fs):
@@ -112,15 +119,7 @@ def reload_factor_set(fs):
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The tables whose integer rows the identity kernels build."""
-    calls = []
-    original = GradedBilinearTable._int_rows
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(GradedBilinearTable, "_int_rows", counted)
-    return calls
+    return _count_calls(monkeypatch, GradedBilinearTable, "_int_rows")
 
 
 @pytest.mark.parametrize("g", FACTOR_SET_ALGEBRAS)

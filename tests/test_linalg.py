@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_sparse_kernel_oracle import LARGEST_PRIME
+
 from homsuper.errors import FormatError, PreconditionError
 from homsuper.fileio import parse_field
-from homsuper.linalg import GF, QQ, Field, Matrix, Subspace
+from homsuper.linalg import GF, QQ, Field, Matrix, Subspace, _Slots
 
 F3 = GF(3)
 
@@ -90,6 +92,27 @@ def test_exact_arithmetic_roundtrip(an, ad, bn, bd):
     assert QQ.sub(QQ.add(a, b), b) == a
     x, y = F3.of(an), F3.of(bn)
     assert F3.sub(F3.add(x, y), y) == x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([QQ, F3, GF(5), GF(LARGEST_PRIME)]),
+       st.one_of(st.integers(0, 40), st.integers(0, 2 ** 200)), st.integers(0, 4), st.data())
+def test_slots_hold_every_vector_within_the_bound(field, bound, n, data):
+    """Vectors with entries anywhere in [-bound, bound], the extremes and
+    multiples of p included, pack into one int that tests zero exactly when
+    every entry vanishes in the field, and unpack to the entries divided by
+    the scale (Q) or reduced mod p (F_p)."""
+    p = field.p
+    scale = 1 if p is not None else data.draw(st.integers(1, 10 ** 6))
+    entries = [st.sampled_from([-bound, 0, bound]), st.integers(-bound, bound)]
+    if p is not None:
+        entries.append(st.integers(-(bound // p), bound // p).map(lambda t: t * p))
+    v = data.draw(st.lists(st.one_of(entries), min_size=n, max_size=n))
+    slots = _Slots(field, n, bound, scale)
+    x = slots.pack(enumerate(v))
+    want = tuple(Fraction(e, scale) if p is None else e % p for e in v)
+    assert repr(slots.unpack(x)) == repr(want)
+    assert slots.is_zero(x) == (not any(want))
 
 
 # ---------------------------------------------------------------------------

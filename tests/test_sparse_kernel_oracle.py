@@ -7,16 +7,17 @@ check every basis pair and triple.  Both must give the same failure tuples
 (compared through repr, so that entry types count: Fraction(0) == 0) and
 the same subspaces, or raise the same error.  The same kernels are also
 compared with their row-index versions that go through the Field methods
-(`field_ops_*`), which isolates the raw sums reduced once per entry.
+(`field_ops_*`), which isolates the raw sums reduced once per entry and,
+for the two identity kernels, the packed integer sums.
 
 Inputs, over Q, F_3, F_5 and F_P up to (3|3), with P the largest prime
-below `linalg._PRIME_LIMIT`, and over Q with scalars among them that are
-dense rationals with numerators and denominators up to 10^6 (so that a slot
-width of the integer identity kernels that is too small shows): valid
-algebras moved by a random
-even change of basis, the same with one bracket value changed or with a
-random (dense, mostly non-multiplicative) twist, random tables with or
-without parity, and any of these with injected i > j cells.  Factor sets
+below `linalg._PRIME_LIMIT`; over Q some scalars are dense rationals with
+numerators and denominators up to 10^6.  Both make the integer sums of the
+identity kernels wide, so that a slot width too small for them shows.  The
+inputs are valid algebras moved by a random even change of basis, the same
+with one bracket value changed or with a random (dense, mostly
+non-multiplicative) twist, random tables with or without parity, and any
+of these with injected i > j cells.  Factor sets
 are read off valid algebras and then perturbed, or drawn at random over
 any generated quotient.  The last tests use the shape the ladder workload
 of the benchmark runs over Q: signed-permutation transports of g22^(+)2.
