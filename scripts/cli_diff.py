@@ -17,8 +17,10 @@ agree:
     and by coordinates otherwise;
   * iso-search and isoclinic --decide on every ordered pair of corpus
     files over the same field;
-  * check on the inputs that fail the Jacobi identity and extend on the
-    one that fails the cocycle identity, so that failure lists count too.
+  * check on the inputs that fail the Jacobi identity or multiplicativity,
+    extend on the one that fails the cocycle identity and isoclinic
+    --witness on a witness whose maps do not preserve brackets, so that
+    failure lists count too.
 
 Every call whose stdout, exit code or --output bytes differ between the
 two sides is printed, and the script exits 1 if any differ, 0 otherwise.
@@ -39,9 +41,13 @@ from pathlib import Path
 from bench import ROOT, extract
 
 INPUTS = ROOT / "tests" / "golden" / "cli" / "inputs"
-#: Invalid inputs under INPUTS, with the command whose failure report they pin.
-INVALID = (("check", "jacobi_dense_q.json"), ("check", "jacobi_f3.json"),
-           ("extend", "cocycle_g22_hs.json"))
+#: Calls on invalid inputs under INPUTS (copied to inputs/) whose failure
+#: reports they pin.
+INVALID = (("check", "inputs/jacobi_dense_q.json"), ("check", "inputs/jacobi_f3.json"),
+           ("check", "inputs/multiplicative_f3.json"),
+           ("extend", "inputs/cocycle_g22_hs.json"),
+           ("isoclinic", "corpus/g22_f3.json", "corpus/g22_f3.json",
+            "--witness", "inputs/witness_g22_f3_dense.json"))
 
 
 def cases(corpus: Path) -> list:
@@ -68,7 +74,7 @@ def cases(corpus: Path) -> list:
             if da["field"] == db["field"]:
                 pair = [f"corpus/{a}.json", f"corpus/{b}.json"]
                 chains += [[["iso-search", *pair]], [["isoclinic", *pair, "--decide"]]]
-    chains += [[[command, f"inputs/{name}"]] for command, name in INVALID]
+    chains += [[list(argv)] for argv in INVALID]
     return chains
 
 

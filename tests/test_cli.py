@@ -5,10 +5,12 @@ each command in manifest.json, run from the repository root; the reports
 must stay byte-identical.  A case marked "artifact" is also run with
 --output, and the written file must equal <slug>.artifact.json; later
 cases read those files, so each --output is fed back into the next
-command.  Hand-written inputs live in inputs/: witness files, two algebras
-that fail the Jacobi identity (a dense transport over Q with one bracket
-value changed, so the failing sums are fractional, and one over F_3), and a
-factor set that fails the cocycle identity.
+command.  Hand-written inputs live in inputs/: witness files (one over F_3
+whose maps fail to preserve brackets), two algebras that fail the Jacobi
+identity (a dense transport over Q with one bracket value changed, so the
+failing sums are fractional, and one over F_3), a dense transport over F_3
+with its twist doubled, so that only multiplicativity fails, and a factor
+set that fails the cocycle identity.
 """
 
 import json
