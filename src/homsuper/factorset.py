@@ -13,12 +13,14 @@ reads the factor set off a complement of the center of an algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (ODD, EvenLinearMap, Failure, GradedBilinearTable, GradedSubspace,
                    HomLieSuperalgebra, SuperSpace, ValidationReport, _cell_bounds,
-                   _check_even_matrix, _int_twist, _once, _packed_rows, _twisted_adjoint,
-                   center, check_multiplicative, check_regular, is_isomorphism, quotient)
+                   _check_even_matrix, _int_twist, _once, _packed_rows,
+                   _preservation_failures, _sum_layout, _twisted_adjoint, center,
+                   check_multiplicative, check_regular, is_isomorphism, quotient,
+                   subalgebra_on)
 from .errors import HomSuperError, PreconditionError
 from .linalg import Field, Matrix, _Slots, vec_sub
 
@@ -48,14 +50,6 @@ class FactorSet:
     @property
     def field(self) -> Field:
         return self.quotient.field
-
-    def value(self, i: int, j: int) -> tuple:
-        """r(q_i, q_j) as a center-coordinate vector."""
-        return self.table.value(i, j)
-
-    def eval(self, u: Sequence, v: Sequence) -> tuple:
-        """Bilinear extension to arbitrary quotient-coordinate vectors."""
-        return self.table.eval(u, v)
 
 
 @_once
@@ -132,15 +126,13 @@ def validate_factor_set(fs: FactorSet) -> ValidationReport:
 
 
 def check_multiplicative_factor_set(fs: FactorSet) -> bool:
-    """r(T(n1), T(n2)) = twist_Z(r(n1, n2)) on all basis pairs."""
-    q = fs.quotient
-    for i in range(q.dim):
-        for j in range(q.dim):
-            lhs = fs.eval(q.twist.col(i), q.twist.col(j))
-            rhs = fs.center_twist.matvec(fs.value(i, j))
-            if lhs != rhs:
-                return False
-    return True
+    """r(T(n1), T(n2)) = twist_Z(r(n1, n2)) on the basis pairs i <= j, T the
+    twist of the quotient.  That walk suffices for any factor set that
+    passes `validate_factor_set`: r is then graded skew-symmetric, derived
+    entries included, and T is even, so both sides on (j, i) are those on
+    (i, j) times -(-1)^{|i||j|}."""
+    return not _preservation_failures("factor-multiplicative", fs.table, fs.table,
+                                      fs.quotient.twist, fs.center_twist)
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +155,26 @@ class Extension:
 
 
 def extend(fs: FactorSet) -> Extension:
-    """Build the central extension determined by a valid factor set."""
+    """Build the central extension of a valid factor set r: the direct sum
+    Z (+) Q of the center space and the quotient, laid out by
+    `core._sum_layout` with Z unnamed, plus the cocycle, so that
+    [(z1, n1), (z2, n2)] = (r(n1, n2), [n1, n2]); the twist is blockwise."""
     rep = validate_factor_set(fs)
     if not rep.passed:
         raise PreconditionError(
             f"invalid factor set: {rep.failures[0].axiom} at {rep.failures[0].indices}")
     f = fs.field
-    pz, qz = fs.center_space.dims
-    pq, qq = fs.quotient.space.dims
-    center_idx = tuple(range(pz)) + tuple(range(pz + pq, pz + pq + qz))
-    quotient_idx = tuple(range(pz, pz + pq)) \
-        + tuple(range(pz + pq + qz, pz + pq + qz + qq))
-    d = pz + pq + qz + qq
-    space = SuperSpace(pz + pq, qz + qq)
+    q = fs.quotient
+    space, center_idx, quotient_idx = _sum_layout(SuperSpace(*fs.center_space.dims), q.space)
     brackets = {}
-    for i in range(fs.quotient.dim):
-        for j in range(i, fs.quotient.dim):
+    for i in range(q.dim):
+        for j in range(i, q.dim):
             cell = {center_idx[k]: v for k, v in fs.table.cell(i, j).items()}
-            cell.update((quotient_idx[k], v)
-                        for k, v in fs.quotient.table.cell(i, j).items())
+            cell.update((quotient_idx[k], v) for k, v in q.table.cell(i, j).items())
             brackets[(quotient_idx[i], quotient_idx[j])] = cell
+    d = space.dim
     twist = Matrix.from_blocks(f, d, d, [(center_idx, center_idx, fs.center_twist),
-                                         (quotient_idx, quotient_idx, fs.quotient.twist)])
+                                         (quotient_idx, quotient_idx, q.twist)])
     return Extension(HomLieSuperalgebra(space, brackets, twist), center_idx, quotient_idx, fs)
 
 
@@ -231,14 +221,8 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
     reps = w.full_basis_vectors()
     sect = EvenLinearMap(qalg.space, g.space, Matrix.from_columns(f, reps, g.dim))
     zvecs = z.full_basis_vectors()
-    center_sp = SuperSpace(z.even.dim, z.odd.dim)
-    tw_cols = []
-    for zv in zvecs:
-        coords = z.coordinates_of(g.theta(zv))
-        if coords is None:
-            raise PreconditionError("twist does not preserve the center")
-        tw_cols.append(coords)
-    center_twist = Matrix.from_columns(f, tw_cols, z.dim)
+    # theta(Z) lies in Z: [theta(z), y] = theta([z, theta^-1(y)]) = 0
+    zalg, _ = subalgebra_on(g, z)
     coeffs = {}
     for a in range(qalg.dim):
         for b in range(a, qalg.dim):
@@ -248,7 +232,7 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
             if coords is None:
                 raise HomSuperError("factor set value escaped the center")
             coeffs[(a, b)] = dict(enumerate(coords))
-    fs = FactorSet(qalg, center_sp, center_twist, coeffs)
+    fs = FactorSet(qalg, zalg.space, zalg.twist, coeffs)
     ext = extend(fs)
     cols = [None] * ext.algebra.dim
     for k, idx in enumerate(ext.center_indices):

@@ -8,14 +8,15 @@ denominator) or plain ints reduced to [0, p) (prime fields).  All values
 are immutable and all operations are pure, so they are safe to share.
 
 Kernel contract.  The scalar kernels (`Matrix.matvec`, `Matrix.__matmul__`,
-`Matrix.rref`, `Subspace.coordinates_of`, and the bilinear-table loops of
-`core` and `factorset`) take canonical values: `Field.of` output, which is
-what every `Matrix`, `Subspace` and algebra holds.  They visit only nonzero
-entries, multiply and add with plain `*`, `+` and `-` instead of the
-`Field` methods, and reduce once per output entry: `% p` over F_p, nothing
-over Q, where `Fraction` arithmetic is already canonical.  An entry that
-receives no term is the field's zero.  The results are the values, of the
-same types, that reducing after every operation would give.
+`Matrix.rref`, `Subspace.coordinates_of`, and `core.GradedBilinearTable.eval`,
+which the one bracket-preservation loop of `core` runs on) take canonical
+values: `Field.of` output, which is what every `Matrix`, `Subspace` and
+algebra holds.  They visit only nonzero entries, multiply and add with
+plain `*`, `+` and `-` instead of the `Field` methods, and reduce once per
+output entry: `% p` over F_p, nothing over Q, where `Fraction` arithmetic
+is already canonical.  An entry that receives no term is the field's zero.
+The results are the values, of the same types, that reducing after every
+operation would give.
 
 The two identity kernels, `core.check_hom_jacobi` and
 `factorset.validate_factor_set`, run on ints over both fields:
@@ -372,15 +373,6 @@ class Matrix:
     def _cols(self) -> tuple:
         return tuple(zip(*self.entries)) if self.nrows else ((),) * self.ncols
 
-    def __neg__(self) -> "Matrix":
-        return self.scale(self.field.neg(self.field.one))
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.of(c)
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(vec_scale(f, c, r) for r in self.entries))
-
     @cached_property
     def _sparse_rows(self) -> tuple:
         return tuple(_sparse_vec(r) for r in self.entries)
@@ -649,20 +641,16 @@ class Subspace:
                                      self.basis_rows() + other.basis_rows())
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked basis constraints."""
+        """Intersection via the kernel of the stacked bases: x U + y W = 0
+        for the basis matrices U and W puts x U in both subspaces, and every
+        common vector arises so."""
         self._compat(other)
         f = self.field
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(f, self.ambient_dim)
-        stacked = self.basis.vstack(-other.basis)
-        ker = stacked.transpose().nullspace()
-        vecs = []
-        for x in ker.basis_rows():
-            v = zero_vec(f, self.ambient_dim)
-            for c, row in zip(x[:self.dim], self.basis_rows()):
-                v = vec_add(f, v, vec_scale(f, c, row))
-            vecs.append(v)
-        return Subspace.from_vectors(f, self.ambient_dim, vecs)
+        ker = self.basis.vstack(other.basis).transpose().nullspace().basis
+        xs = ker.submatrix(range(ker.nrows), range(self.dim))
+        return Subspace.from_vectors(f, self.ambient_dim, (xs @ self.basis).entries)
 
     def complement_in(self, within: Optional["Subspace"] = None) -> "Subspace":
         """A deterministic complement C with (within) = self ⊕ C.

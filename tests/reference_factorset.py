@@ -48,7 +48,7 @@ def transport_factor_set(s: FactorSet, witness: IsoclinismWitness,
     nu_z_inv = nu_z.inverse()
     dq = q1alg.dim
     images = [witness.quotient_map(basis_vec(f, dq, a)) for a in range(dq)]
-    coeffs = {(a, b): dict(enumerate(nu_z_inv.matvec(s.eval(images[a], images[b]))))
+    coeffs = {(a, b): dict(enumerate(nu_z_inv.matvec(s.table.eval(images[a], images[b]))))
               for a in range(dq) for b in range(a, dq)}
     z1 = center(g1)
     z1full = z1.to_subspace()
@@ -153,10 +153,10 @@ def build_extension_isomorphism(quotient_map: EvenLinearMap,
     q = fs_src.quotient
     for i in range(q.dim):
         for j in range(q.dim):
-            lhs = center_map(vec_add(f, fs_src.value(i, j),
+            lhs = center_map(vec_add(f, fs_src.table.value(i, j),
                                      shift(q.basis_bracket(i, j))))
-            rhs = fs_dst.eval(quotient_map(basis_vec(f, q.dim, i)),
-                              quotient_map(basis_vec(f, q.dim, j)))
+            rhs = fs_dst.table.eval(quotient_map(basis_vec(f, q.dim, i)),
+                                    quotient_map(basis_vec(f, q.dim, j)))
             if lhs != rhs:
                 raise PreconditionError(
                     f"compatibility identity fails at pair ({i}, {j}): "
@@ -210,10 +210,10 @@ def extract_center_shift(iso: EvenLinearMap, quotient_map: EvenLinearMap,
     shift = EvenLinearMap(q.space, fs_src.center_space, raw @ onto_span)
     for i in range(q.dim):
         for j in range(q.dim):
-            lhs = center_map(vec_add(f, fs_src.value(i, j),
+            lhs = center_map(vec_add(f, fs_src.table.value(i, j),
                                      shift(q.basis_bracket(i, j))))
-            rhs = fs_dst.eval(quotient_map(basis_vec(f, q.dim, i)),
-                              quotient_map(basis_vec(f, q.dim, j)))
+            rhs = fs_dst.table.eval(quotient_map(basis_vec(f, q.dim, i)),
+                                    quotient_map(basis_vec(f, q.dim, j)))
             if lhs != rhs:
                 raise HomSuperError(
                     "identity cannot be satisfied; the map was not a valid extension isomorphism")

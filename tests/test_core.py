@@ -331,6 +331,16 @@ def test_quotient_rejects_non_ideal(algebras):
         quotient(hs, k)
 
 
+def test_quotient_rejects_representatives_of_other_dims(algebras):
+    """Representatives in a space of other graded dims are a failed
+    precondition, found before they are intersected with the ideal."""
+    hs2 = algebras["hs2"]
+    k = GradedSubspace.from_vectors(QQ, hs2.space, [(0, 1, 0)])
+    w = GradedSubspace.full(QQ, SuperSpace(1, 2))
+    with pytest.raises(PreconditionError, match="do not complement the ideal"):
+        quotient(hs2, k, reps=w)
+
+
 def test_quotient_preserves_validity(algebras, corpus_name):
     g = algebras[corpus_name]
     for k in (center(g), derived(g)):

@@ -8,6 +8,8 @@ from reference_factorset import (build_extension_isomorphism,
                                  extension_map_from_witness,
                                  extract_automorphisms, extract_center_shift,
                                  transport_factor_set)
+from reference_kernel import reference_eval, reference_matvec
+from test_invariant_memo import FACTOR_SET_ALGEBRAS
 
 from homsuper.core import (EvenLinearMap, GradedSubspace, HomLieSuperalgebra,
                            SuperSpace, abelian, center, check_axioms,
@@ -135,6 +137,43 @@ def test_corpus_factor_sets_are_multiplicative(algebras, corpus_name):
     assert check_multiplicative_factor_set(fs)
 
 
+def _multiplicative_on_all_ordered_pairs(fs):
+    """The definition, r(T b_i, T b_j) = T_Z r(b_i, b_j) on every ordered
+    pair, evaluated densely through the table's cells."""
+    q, t = fs.quotient, fs.quotient.twist
+    return all(reference_eval(fs.table, t.col(i), t.col(j))
+               == reference_matvec(fs.center_twist, fs.table.value(i, j))
+               for i in range(q.dim) for j in range(q.dim))
+
+
+def _center_twist_variants(fs):
+    """fs, and copies whose center twist is doubled or has one added to its
+    last diagonal entry.  Doubling breaks multiplicativity wherever r is
+    nonzero; every copy still passes validate_factor_set, which does not
+    read the center twist."""
+    f, tz = fs.field, fs.center_twist
+    n = tz.nrows
+    bumped = [[f.add(x, f.one) if i == j == n - 1 else x for j, x in enumerate(row)]
+              for i, row in enumerate(tz.entries)]
+    twists = (tz, Matrix.from_rows(f, [[f.add(x, x) for x in row] for row in tz.entries], n),
+              Matrix.from_rows(f, bumped, n))
+    return [FactorSet(fs.quotient, fs.center_space, t, fs.coeffs) for t in twists]
+
+
+@pytest.mark.parametrize("g", FACTOR_SET_ALGEBRAS)
+def test_multiplicative_factor_set_matches_the_ordered_pair_definition(g):
+    for fs in _center_twist_variants(factor_set_from_complement(g)[0]):
+        assert validate_factor_set(fs).passed
+        assert check_multiplicative_factor_set(fs) == _multiplicative_on_all_ordered_pairs(fs)
+
+
+def test_center_twist_variants_give_both_verdicts():
+    verdicts = {check_multiplicative_factor_set(fs)
+                for g in FACTOR_SET_ALGEBRAS
+                for fs in _center_twist_variants(factor_set_from_complement(g.values[0])[0])}
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # extension
 
@@ -186,7 +225,7 @@ def test_hs_complement_reads_off_the_central_charge(algebras):
     hs = algebras["hs"]
     w = GradedSubspace.from_vectors(QQ, hs.space, [(0, 1)])
     fs, split, iso = factor_set_from_complement(hs, w)
-    assert fs.value(0, 0) == (Fraction(1),)  # r(f, f) = z
+    assert fs.table.value(0, 0) == (Fraction(1),)  # r(f, f) = z
     assert split.complement == w
     assert is_isomorphism(iso, extend(fs).algebra, hs)
 
@@ -201,7 +240,7 @@ def test_abelian_complement_gives_zero_factor_set(algebras):
 
 def test_t2_complement_factor_set(algebras):
     fs, _, _ = factor_set_from_complement(algebras["t2"])
-    assert fs.value(0, 0) == (Fraction(1),)
+    assert fs.table.value(0, 0) == (Fraction(1),)
     assert fs.center_twist == Matrix.from_rows(QQ, [[4]], 1)
     assert fs.quotient.twist == Matrix.from_rows(QQ, [[2]], 1)
     assert check_multiplicative_factor_set(fs)
@@ -285,7 +324,7 @@ def test_scaled_transport_cancels(algebras):
     assert verify_isoclinism(hs, hs, w).passed
     r = transport_factor_set(fs, w, hs, hs)
     # r(f, f) = nu^{-1}(s(2f, 2f)) = (1/4) * 4z = z
-    assert r.value(0, 0) == (Fraction(1),)
+    assert r.table.value(0, 0) == (Fraction(1),)
 
 
 def test_transport_rejects_invalid_witness(algebras):
@@ -403,7 +442,7 @@ def shifted_factor_set(fs, delta):
     coeffs = {}
     for i in range(q.dim):
         for j in range(i, q.dim):
-            val = [f.add(a, b) for a, b in zip(fs.value(i, j),
+            val = [f.add(a, b) for a, b in zip(fs.table.value(i, j),
                                                delta(q.basis_bracket(i, j)))]
             cell = {k: c for k, c in enumerate(val) if c != 0}
             if cell:

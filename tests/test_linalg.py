@@ -245,6 +245,33 @@ def test_complement_within_subspace(m1, m2):
     assert (w + comp) == u
 
 
+def _scalars(field):
+    """Field elements; over Q with numerators and denominators up to 10^6."""
+    if field.p is None:
+        return st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    return st.integers(0, field.p - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((QQ, F3, GF(5), GF(LARGEST_PRIME))), st.integers(1, 5), st.data())
+def test_intersection_lies_in_both_and_satisfies_the_dimension_formula(field, n, data):
+    """U holds the vectors `common`, W combinations of them, so U and W
+    meet in at least the span of those combinations."""
+    def vectors(length):
+        return st.lists(st.lists(_scalars(field), min_size=length, max_size=length),
+                        max_size=3)
+    common, only_u, only_w = (data.draw(vectors(n)) for _ in range(3))
+    shared = [[field.of(sum(c * v[k] for c, v in zip(mix, common))) for k in range(n)]
+              for mix in data.draw(vectors(len(common)))]
+    u = Subspace.from_vectors(field, n, common + only_u)
+    w = Subspace.from_vectors(field, n, shared + only_w)
+    both = u.intersect(w)
+    assert u.contains(both) and w.contains(both)
+    assert both.contains(Subspace.from_vectors(field, n, shared))
+    assert u.dim + w.dim == both.dim + (u + w).dim
+    assert w.intersect(u) == both
+
+
 def test_subspace_equality_is_syntactic():
     a = Subspace.from_vectors(QQ, 2, [(2, 4)])
     b = Subspace.from_vectors(QQ, 2, [(1, 2)])
