@@ -198,10 +198,6 @@ def basis_vec(field: Field, n: int, i: int) -> tuple:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 
-def vec_add(field: Field, a: Sequence, b: Sequence) -> tuple:
-    return tuple(field.add(x, y) for x, y in zip(a, b))
-
-
 def vec_sub(field: Field, a: Sequence, b: Sequence) -> tuple:
     return tuple(field.sub(x, y) for x, y in zip(a, b))
 

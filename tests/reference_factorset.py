@@ -9,6 +9,8 @@ Kept as executable oracles for the paper's factor-set theorems; the
 library itself only builds, validates and extends factor sets.
 """
 
+from reference_kernel import vec_add
+
 from homsuper.core import (EvenLinearMap, GradedSubspace, HomLieSuperalgebra,
                            SuperSpace, abelian, center, derived,
                            is_isomorphism, is_stem)
@@ -16,7 +18,7 @@ from homsuper.errors import HomSuperError, PreconditionError
 from homsuper.factorset import Extension, FactorSet, extend, validate_factor_set
 from homsuper.isoclinism import (IsoclinismWitness, central_quotient,
                                  derived_algebra, verify_isoclinism)
-from homsuper.linalg import Matrix, Subspace, basis_vec, vec_add
+from homsuper.linalg import Matrix, Subspace, basis_vec
 
 
 def transport_factor_set(s: FactorSet, witness: IsoclinismWitness,

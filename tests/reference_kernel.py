@@ -42,7 +42,11 @@ from homsuper.core import (EVEN, EvenLinearMap, Failure, GradedSubspace,
 from homsuper.errors import PreconditionError
 from homsuper.isoclinism import StemDecomposition, _require_regular
 from homsuper.linalg import (Field, Matrix, Subspace, _dense_vec, _sparse_vec, basis_vec,
-                             vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+                             vec_is_zero, vec_scale, vec_sub, zero_vec)
+
+
+def vec_add(field: Field, a, b) -> tuple:
+    return tuple(field.add(x, y) for x, y in zip(a, b))
 
 
 def reference_from_subspace(space: SuperSpace, sub: Subspace) -> GradedSubspace:

@@ -15,10 +15,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_kernel import reference_field_of, reference_from_subspace
+from reference_kernel import reference_field_of, reference_from_subspace, vec_add
 
 from homsuper.core import GradedSubspace, SuperSpace
-from homsuper.linalg import GF, QQ, Matrix, Subspace, vec_add, vec_scale
+from homsuper.linalg import GF, QQ, Matrix, Subspace, vec_scale
 
 FIELDS = (QQ, GF(3), GF(5))
 
