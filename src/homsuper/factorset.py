@@ -220,9 +220,8 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
     qalg, proj = quotient(g, z, reps=w)
     reps = w.full_basis_vectors()
     sect = EvenLinearMap(qalg.space, g.space, Matrix.from_columns(f, reps, g.dim))
-    zvecs = z.full_basis_vectors()
     # theta(Z) lies in Z: [theta(z), y] = theta([z, theta^-1(y)]) = 0
-    zalg, _ = subalgebra_on(g, z)
+    zalg, zincl = subalgebra_on(g, z)
     coeffs = {}
     for a in range(qalg.dim):
         for b in range(a, qalg.dim):
@@ -236,7 +235,7 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
     ext = extend(fs)
     cols = [None] * ext.algebra.dim
     for k, idx in enumerate(ext.center_indices):
-        cols[idx] = zvecs[k]
+        cols[idx] = zincl.matrix.col(k)
     for a, idx in enumerate(ext.quotient_indices):
         cols[idx] = reps[a]
     iso = EvenLinearMap(ext.algebra.space, g.space, Matrix.from_columns(f, cols, g.dim))
