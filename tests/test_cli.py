@@ -1,8 +1,11 @@
 """The command-line front end: golden reports, malformed input, budgets.
 
 The golden files under tests/golden/cli hold the stdout and exit code of
-each command in manifest.json, run from the repository root; the reports
-must stay byte-identical.  A case marked "artifact" is also run with
+each command in manifest.json, run from the repository root with
+COLUMNS=80 (argparse wraps help and usage to the terminal width); the
+reports must stay byte-identical.  A case marked "stderr" also pins its
+stderr in <slug>.err: the help and usage cases, where argparse exits
+through SystemExit.  A case marked "artifact" is also run with
 --output, and the written file must equal <slug>.artifact.json; later
 cases read those files, so each --output is fed back into the next
 command.  Hand-written inputs live in inputs/: witness files (one over F_3
@@ -36,11 +39,18 @@ def run(argv, capsys):
 @pytest.mark.parametrize("slug", sorted(MANIFEST))
 def test_golden_report(slug, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
     case = MANIFEST[slug]
     artifact = tmp_path / "artifact.json"
     extra = ["--output", str(artifact)] if case.get("artifact") else []
-    code, out = run(case["argv"] + extra, capsys)
+    try:
+        code = cli.main(case["argv"] + extra)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
     assert out == (GOLDEN / f"{slug}.out").read_text()
+    if case.get("stderr"):
+        assert err == (GOLDEN / f"{slug}.err").read_text()
     assert code == case["exit"]
     if extra:
         assert artifact.read_text() == (GOLDEN / f"{slug}.artifact.json").read_text()
