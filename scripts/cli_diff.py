@@ -20,10 +20,15 @@ agree:
   * check on the inputs that fail the Jacobi identity or multiplicativity,
     extend on the one that fails the cocycle identity and isoclinic
     --witness on a witness whose maps do not preserve brackets, so that
-    failure lists count too.
+    failure lists count too;
+  * the top-level help and that of every subcommand, and the usage errors
+    of no arguments, an unknown subcommand, every subcommand without its
+    arguments and an unrecognized option.
 
-Every call whose stdout, exit code or --output bytes differ between the
-two sides is printed, and the script exits 1 if any differ, 0 otherwise.
+The calls run with COLUMNS=80, since argparse wraps help and usage to the
+terminal width.  Every call whose exit code, stdout, stderr or --output
+bytes differ between the two sides is printed, and the script exits 1 if
+any differ, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ INVALID = (("check", "inputs/jacobi_dense_q.json"), ("check", "inputs/jacobi_f3.
            ("extend", "inputs/cocycle_g22_hs.json"),
            ("isoclinic", "corpus/g22_f3.json", "corpus/g22_f3.json",
             "--witness", "inputs/witness_g22_f3_dense.json"))
+SUBCOMMANDS = ("check", "invariants", "quotient", "sum", "factorset", "extend",
+               "stem-decompose", "isoclinic", "iso-search")
+#: Help and usage calls: argparse prints these and exits.
+USAGE = ((), ("--help",), ("nope",), ("check", "corpus/g22.json", "--bogus"),
+         *((name, "--help") for name in SUBCOMMANDS), *((name,) for name in SUBCOMMANDS))
 
 
 def cases(corpus: Path) -> list:
@@ -74,16 +84,17 @@ def cases(corpus: Path) -> list:
             if da["field"] == db["field"]:
                 pair = [f"corpus/{a}.json", f"corpus/{b}.json"]
                 chains += [[["iso-search", *pair]], [["isoclinic", *pair, "--decide"]]]
-    chains += [[list(argv)] for argv in INVALID]
+    chains += [[list(argv)] for argv in INVALID + USAGE]
     return chains
 
 
 def run_side(tree: Path, work: Path, chains: list) -> list:
-    """(exit code, stdout, --output bytes or None) of every call, by chain."""
+    """(exit code, stdout, stderr, --output bytes or None) of every call, by
+    chain."""
     shutil.copytree(tree / "corpus", work / "corpus")
     shutil.copytree(INPUTS, work / "inputs")
     (work / "out").mkdir()
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "COLUMNS": "80"}
 
     def run_chain(chain):
         results = []
@@ -92,7 +103,7 @@ def run_side(tree: Path, work: Path, chains: list) -> list:
                                   cwd=work, env=env, capture_output=True)
             out = work / argv[argv.index("--output") + 1] if "--output" in argv else None
             written = out.read_bytes() if out is not None and out.exists() else None
-            results.append((proc.returncode, proc.stdout, written))
+            results.append((proc.returncode, proc.stdout, proc.stderr, written))
         return results
 
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -114,8 +125,8 @@ def main(argv=None) -> int:
     for chain, base_runs, change_runs in zip(chains, base, change):
         for argv, b, c in zip(chain, base_runs, change_runs):
             total += 1
-            what = [name for name, x, y in zip(("exit code", "stdout", "--output"), b, c)
-                    if x != y]
+            what = [name for name, x, y
+                    in zip(("exit code", "stdout", "stderr", "--output"), b, c) if x != y]
             if what:
                 differ += 1
                 print(f"{' '.join(argv)}: {', '.join(what)} differ "

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands wrap every library capability:
+Subcommands wrap every library capability; the table _COMMANDS gives
+their arguments:
 
   check            axiom, multiplicativity, and regularity validation
   invariants       center, derived subalgebra, stem flag, fingerprint
@@ -50,7 +51,8 @@ EXIT_INTERNAL = 4
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     try:
         code, report, artifact = args.handler(args)
     except FormatError as exc:
@@ -72,74 +74,56 @@ def main(argv=None) -> int:
     return code
 
 
-def _parser() -> argparse.ArgumentParser:
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET,
+                        "help": "search nodes to examine (default %(default)s)"})
+
+#: Name, help, handler, positionals, required mutually exclusive group and other
+#: options of each subcommand; an option is a (flag, add_argument keywords) pair.
+#: Handlers are named, so that wrappers rebound on this module are the ones called.
+_COMMANDS = (
+    ("check", "validate an algebra file", "cmd_check", ("file",), (), ()),
+    ("invariants", "center, derived subalgebra, stem flag, fingerprint", "cmd_invariants",
+     ("file",), (), ()),
+    ("quotient", "quotient by a Hom-ideal", "cmd_quotient", ("file",), (),
+     (("--ideal", {"required": True, "help": "generators, ';'-separated: "
+                   "basis names or comma-separated coordinates"}),)),
+    ("sum", "direct sum of two algebras", "cmd_sum", ("file_a", "file_b"), (), ()),
+    ("factorset", "factor set from a complement of the center", "cmd_factorset",
+     ("file",), (), ()),
+    ("extend", "central extension of a factor-set file", "cmd_extend", ("file",), (), ()),
+    ("stem-decompose", "split off a maximal central abelian summand", "cmd_stem_decompose",
+     ("file",), (), ()),
+    ("isoclinic", "verify a witness or decide isoclinism", "cmd_isoclinic", ("file_a", "file_b"),
+     (("--witness", {"help": "witness file to verify"}),
+      ("--decide", {"action": "store_true", "help": "run the decision procedure"})), (_BUDGET,)),
+    ("iso-search", "search for an isomorphism", "cmd_iso_search", ("file_a", "file_b"), (),
+     (_BUDGET,)),
+)
+
+
+def _parser(argv) -> argparse.ArgumentParser:
+    """Only the subcommands named in argv get their arguments: argparse runs
+    one of those, and the top-level help and usage show names and helps."""
     top = argparse.ArgumentParser(
         prog="homsuper",
         description="Exact computations with finite-dimensional Hom-Lie superalgebras")
     sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, help_, handler, positionals, group, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        if name not in argv:
+            continue
+        for positional in positionals:
+            p.add_argument(positional)
+        if group:
+            mode = p.add_mutually_exclusive_group(required=True)
+            for flag, kwargs in group:
+                mode.add_argument(flag, **kwargs)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--output", help="write the primary constructed object (JSON) here")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--field", help="require inputs to be over this field (Q or Fp:<p>)")
-
-    p = sub.add_parser("check", help="validate an algebra file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("invariants", help="center, derived subalgebra, stem flag, fingerprint")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=cmd_invariants)
-
-    p = sub.add_parser("quotient", help="quotient by a Hom-ideal")
-    p.add_argument("file")
-    p.add_argument("--ideal", required=True,
-                   help="generators, ';'-separated: basis names or comma-separated coordinates")
-    common(p)
-    p.set_defaults(handler=cmd_quotient)
-
-    p = sub.add_parser("sum", help="direct sum of two algebras")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    common(p)
-    p.set_defaults(handler=cmd_sum)
-
-    p = sub.add_parser("factorset", help="factor set from a complement of the center")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=cmd_factorset)
-
-    p = sub.add_parser("extend", help="central extension of a factor-set file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=cmd_extend)
-
-    p = sub.add_parser("stem-decompose", help="split off a maximal central abelian summand")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=cmd_stem_decompose)
-
-    p = sub.add_parser("isoclinic", help="verify a witness or decide isoclinism")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--witness", help="witness file to verify")
-    mode.add_argument("--decide", action="store_true", help="run the decision procedure")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="search nodes to examine (default %(default)s)")
-    common(p)
-    p.set_defaults(handler=cmd_isoclinic)
-
-    p = sub.add_parser("iso-search", help="search for an isomorphism")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="search nodes to examine (default %(default)s)")
-    common(p)
-    p.set_defaults(handler=cmd_iso_search)
-
+        p.set_defaults(handler=globals()[handler])
     return top
 
 
@@ -180,12 +164,15 @@ def _load(args, path) -> HomLieSuperalgebra:
     """Read an algebra file; every command but `check` also requires the
     axioms, so an invalid algebra is an input error (exit 2)."""
     name, g = load_algebra(path)
-    if args.field and g.field.name != args.field:
-        raise FormatError(
-            f"{path} is over {g.field.name}, but --field {args.field} was required")
+    _check_field(args, path, g.field)
     if args.subcommand != "check" and not check_axioms(g).passed:
         raise FormatError(f"{path} is not a valid algebra")
     return g
+
+
+def _check_field(args, path, field):
+    if args.field and field.name != args.field:
+        raise FormatError(f"{path} is over {field.name}, but --field {args.field} was required")
 
 
 def _failures_json(field, report) -> list:
@@ -345,9 +332,7 @@ def cmd_factorset(args):
 
 def cmd_extend(args):
     _, fs = load_factorset(args.file)
-    if args.field and fs.field.name != args.field:
-        raise FormatError(
-            f"{args.file} is over {fs.field.name}, but --field {args.field} was required")
+    _check_field(args, args.file, fs.field)
     if not check_axioms(fs.quotient).passed:
         raise FormatError(f"the quotient in {args.file} is not a valid algebra")
     ext = extend(fs)

@@ -249,3 +249,17 @@ def test_zero_budget_is_echoed(corpus_dir, capsys):
     assert code == cli.EXIT_INCONCLUSIVE
     assert json.loads(out)["command"] == ["isoclinic", f"file_a={hs}", f"file_b={hs}",
                                           "budget=0", "decide"]
+
+
+@pytest.mark.parametrize("argv", [["check", "corpus/g22.json"],
+                                  ["extend", "tests/golden/cli/factorset_g22.artifact.json"]])
+def test_field_mismatch_is_an_input_error(argv, monkeypatch, capsys):
+    """--field is checked on algebra and factor-set files alike."""
+    monkeypatch.chdir(REPO_ROOT)
+    assert_input_error(argv + ["--field", "Fp:3"], capsys,
+                       f"{argv[1]} is over Q, but --field Fp:3 was required")
+
+
+def test_docstring_lists_the_subcommands_of_the_table():
+    listed = [line.split()[0] for line in cli.__doc__.splitlines() if line.startswith("  ")]
+    assert listed == [row[0] for row in cli._COMMANDS]
