@@ -677,7 +677,7 @@ def quotient(g: HomLieSuperalgebra, k: GradedSubspace,
         w = k.complement_in()
     else:
         w = reps
-        if w.ambient_dims != g.space.dims or k.intersect(w).dim != 0 \
+        if w.field != f or w.ambient_dims != g.space.dims or k.intersect(w).dim != 0 \
                 or k.dim + w.dim != g.dim:
             raise PreconditionError("quotient: supplied representatives do not complement the ideal")
     k_vecs = k.full_basis_vectors()

@@ -208,7 +208,7 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
     if w is None:
         w = z.complement_in()
     else:
-        if w.ambient_dims != g.space.dims or z.intersect(w).dim != 0 \
+        if w.field != f or w.ambient_dims != g.space.dims or z.intersect(w).dim != 0 \
                 or z.dim + w.dim != g.dim:
             raise PreconditionError("supplied subspace is not a complement of the center")
     for v in w.full_basis_vectors():

@@ -278,7 +278,9 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past the digit limit, invalid
+        # UTF-8 (all ValueErrors) or nesting past the recursion limit
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 

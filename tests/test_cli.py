@@ -263,3 +263,17 @@ def test_field_mismatch_is_an_input_error(argv, monkeypatch, capsys):
 def test_docstring_lists_the_subcommands_of_the_table():
     listed = [line.split()[0] for line in cli.__doc__.splitlines() if line.startswith("  ")]
     assert listed == [row[0] for row in cli._COMMANDS]
+
+
+@pytest.mark.parametrize("theta, message", [
+    ("[[" + "1" * 5000 + "]]", "Exceeds the limit (4300 digits)"),
+    ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+], ids=["long-literal", "deep-nesting"])
+def test_hostile_json_is_an_input_error(theta, message, tmp_path, capsys):
+    """An integer literal past Python's digit limit and nesting past the
+    recursion limit are invalid JSON (exit 2), not a traceback or an
+    internal error."""
+    path = tmp_path / "hostile.json"
+    path.write_text('{"name": "x", "field": "Q", "even_dim": 1, "odd_dim": 0, '
+                    f'"brackets": [], "theta": {theta}}}')
+    assert_input_error(["check", str(path)], capsys, f"invalid JSON in {path}: {message}")

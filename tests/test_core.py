@@ -341,6 +341,15 @@ def test_quotient_rejects_representatives_of_other_dims(algebras):
         quotient(hs2, k, reps=w)
 
 
+def test_quotient_rejects_representatives_over_another_field(algebras):
+    """Representatives over another field, of the right dims, are a failed
+    precondition too, not an error from intersecting them with the ideal."""
+    hs2 = algebras["hs2"]
+    w = GradedSubspace.from_vectors(GF(3), hs2.space, [(0, 0, 1)])
+    with pytest.raises(PreconditionError, match="do not complement the ideal"):
+        quotient(hs2, center(hs2), reps=w)
+
+
 def test_quotient_preserves_validity(algebras, corpus_name):
     g = algebras[corpus_name]
     for k in (center(g), derived(g)):

@@ -281,6 +281,15 @@ def test_supplied_complement_must_complement_the_center(algebras):
         factor_set_from_complement(hs, w)
 
 
+def test_supplied_complement_over_another_field_is_rejected(algebras):
+    """A complement of the right dims over another field is a failed
+    precondition, not an error from intersecting it with the center."""
+    hs2 = algebras["hs2"]
+    w = GradedSubspace.from_vectors(GF(3), hs2.space, [(0, 0, 1)])
+    with pytest.raises(PreconditionError, match="not a complement of the center"):
+        factor_set_from_complement(hs2, w)
+
+
 def test_twist_escape_is_reported_with_witness():
     g = twist_escapes_complement_algebra()
     assert check_axioms(g).passed
