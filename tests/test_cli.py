@@ -266,14 +266,15 @@ def test_docstring_lists_the_subcommands_of_the_table():
 
 
 @pytest.mark.parametrize("theta, message", [
-    ("[[" + "1" * 5000 + "]]", "Exceeds the limit (4300 digits)"),
-    ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
-], ids=["long-literal", "deep-nesting"])
+    (b"[[" + b"1" * 5000 + b"]]", "Exceeds the limit (4300 digits)"),
+    (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    (b'[["\xff"]]', "'utf-8' codec can't decode byte 0xff"),
+], ids=["long-literal", "deep-nesting", "invalid-utf-8"])
 def test_hostile_json_is_an_input_error(theta, message, tmp_path, capsys):
-    """An integer literal past Python's digit limit and nesting past the
-    recursion limit are invalid JSON (exit 2), not a traceback or an
-    internal error."""
+    """An integer literal past Python's digit limit, nesting past the
+    recursion limit and bytes that are not UTF-8 are invalid JSON (exit 2),
+    not a traceback or an internal error."""
     path = tmp_path / "hostile.json"
-    path.write_text('{"name": "x", "field": "Q", "even_dim": 1, "odd_dim": 0, '
-                    f'"brackets": [], "theta": {theta}}}')
+    path.write_bytes(b'{"name": "x", "field": "Q", "even_dim": 1, "odd_dim": 0, '
+                     b'"brackets": [], "theta": ' + theta + b"}")
     assert_input_error(["check", str(path)], capsys, f"invalid JSON in {path}: {message}")
