@@ -18,9 +18,10 @@ agree:
   * iso-search and isoclinic --decide on every ordered pair of corpus
     files over the same field;
   * check on the inputs that fail the Jacobi identity or multiplicativity,
-    extend on the one that fails the cocycle identity and isoclinic
+    extend on the one that fails the cocycle identity, isoclinic
     --witness on a witness whose maps do not preserve brackets, so that
-    failure lists count too;
+    failure lists count too, and stem-decompose on zc, whose greedy
+    abelian part is not twist-invariant;
   * the top-level help and that of every subcommand, and the usage errors
     of no arguments, an unknown subcommand, every subcommand without its
     arguments and an unrecognized option.
@@ -51,6 +52,7 @@ INPUTS = ROOT / "tests" / "golden" / "cli" / "inputs"
 INVALID = (("check", "inputs/jacobi_dense_q.json"), ("check", "inputs/jacobi_f3.json"),
            ("check", "inputs/multiplicative_f3.json"),
            ("extend", "inputs/cocycle_g22_hs.json"),
+           ("stem-decompose", "inputs/zc.json"),
            ("isoclinic", "corpus/g22_f3.json", "corpus/g22_f3.json",
             "--witness", "inputs/witness_g22_f3_dense.json"))
 SUBCOMMANDS = ("check", "invariants", "quotient", "sum", "factorset", "extend",

@@ -12,8 +12,10 @@ command.  Hand-written inputs live in inputs/: witness files (one over F_3
 whose maps fail to preserve brackets), two algebras that fail the Jacobi
 identity (a dense transport over Q with one bracket value changed, so the
 failing sums are fractional, and one over F_3), a dense transport over F_3
-with its twist doubled, so that only multiplicativity fails, and a factor
-set that fails the cocycle identity.
+with its twist doubled, so that only multiplicativity fails, a factor
+set that fails the cocycle identity, and zc, {z, c | f} with [f, f] = z
+and theta(c) = 2c + z, which stem-decompose refuses because its greedy
+abelian part span(c) is not twist-invariant.
 """
 
 import json

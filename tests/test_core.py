@@ -446,6 +446,19 @@ def test_subalgebra_on_derived(algebras):
     assert check_homomorphism(incl, d, g).passed
 
 
+def test_subalgebra_on_rejects_what_is_not_a_subalgebra(algebras):
+    """span(f) in hs2 is twist-invariant, but [f, f] = z leaves it.  In zc,
+    {z, c | f} with [f, f] = z and theta(c) = 2c + z, span(c, f) fails
+    both tests, and the twist images are checked first."""
+    hs2 = algebras["hs2"]
+    with pytest.raises(PreconditionError, match="subspace is not closed under the bracket"):
+        subalgebra_on(hs2, GradedSubspace.from_vectors(QQ, hs2.space, [ev(hs2, 2)]))
+    zc = HomLieSuperalgebra(SuperSpace(2, 1), {(2, 2): {0: 1}},
+                            Matrix.from_rows(QQ, [[1, 1, 0], [0, 2, 0], [0, 0, 1]], 3))
+    with pytest.raises(PreconditionError, match="subspace is not twist-invariant"):
+        subalgebra_on(zc, GradedSubspace.from_vectors(QQ, zc.space, [ev(zc, 1), ev(zc, 2)]))
+
+
 def test_bracket_span_of_full_space_is_derived(algebras, corpus_name):
     g = algebras[corpus_name]
     full = GradedSubspace.full(g.field, g.space)
