@@ -51,24 +51,22 @@ EXIT_INTERNAL = 4
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its handler's report, or the exit code and report
+    of the error it raised, is emitted under the one command echo."""
     argv = sys.argv[1:] if argv is None else argv
     args = _parser(argv).parse_args(argv)
+    artifact = None
     try:
         code, report, artifact = args.handler(args)
     except FormatError as exc:
-        _emit(args, {"command": _echo(args), "error": str(exc)})
-        return EXIT_INPUT
+        code, report = EXIT_INPUT, {"error": str(exc)}
     except PreconditionError as exc:
-        _emit(args, {"command": _echo(args), "error": str(exc)})
-        return EXIT_FALSE
+        code, report = EXIT_FALSE, {"error": str(exc)}
     except SearchInconclusive as exc:
-        _emit(args, {"command": _echo(args), "verdict": "inconclusive",
-                     "reason": exc.reason})
-        return EXIT_INCONCLUSIVE
+        code, report = EXIT_INCONCLUSIVE, {"verdict": "inconclusive", "reason": exc.reason}
     except (HomSuperError, RuntimeError) as exc:
-        _emit(args, {"command": _echo(args), "error": str(exc)})
-        return EXIT_INTERNAL
-    _emit(args, report)
+        code, report = EXIT_INTERNAL, {"error": str(exc)}
+    _emit(args, {"command": _echo(args), **report})
     if args.output and artifact is not None:
         save_json(args.output, artifact)
     return code
@@ -220,7 +218,7 @@ def cmd_check(args):
         "multiplicative": check_multiplicative(g),
     }
     regular = check_regular(g)
-    report = {"command": _echo(args), "checks": {}, "regular": regular}
+    report = {"checks": {}, "regular": regular}
     ok = regular
     for name, rep in checks.items():
         report["checks"][name] = {
@@ -237,7 +235,6 @@ def cmd_invariants(args):
     if not (check_multiplicative(g).passed and check_regular(g)):
         raise FormatError(f"{args.file} is not a valid multiplicative regular algebra")
     report = {
-        "command": _echo(args),
         "graded_dims": list(g.space.dims),
         "center": _graded_json(center(g)),
         "derived": _graded_json(derived(g)),
@@ -289,7 +286,6 @@ def cmd_quotient(args):
         raise HomSuperError("quotient failed re-validation")
     payload = algebra_to_dict(qalg, "quotient")
     report = {
-        "command": _echo(args),
         "algebra": payload,
         "projection": matrix_to_lists(proj.matrix),
     }
@@ -304,7 +300,6 @@ def cmd_sum(args):
         raise HomSuperError("direct sum failed re-validation")
     payload = algebra_to_dict(s, "sum")
     report = {
-        "command": _echo(args),
         "algebra": payload,
         "embedding_a": matrix_to_lists(emb1.matrix),
         "embedding_b": matrix_to_lists(emb2.matrix),
@@ -320,7 +315,6 @@ def cmd_factorset(args):
         raise HomSuperError("constructed factor set failed re-validation")
     payload = factorset_to_dict(fs, "factorset")
     report = {
-        "command": _echo(args),
         "factorset": payload,
         "multiplicative": check_multiplicative_factor_set(fs),
         "complement": _graded_json(split.complement),
@@ -340,7 +334,6 @@ def cmd_extend(args):
         raise HomSuperError("extension failed re-validation")
     payload = algebra_to_dict(ext.algebra, "extension")
     report = {
-        "command": _echo(args),
         "algebra": payload,
         "center_indices": list(ext.center_indices),
         "quotient_indices": list(ext.quotient_indices),
@@ -355,8 +348,7 @@ def cmd_stem_decompose(args):
     q_payload = algebra_to_dict(sd.abelian_part, "abelian")
     payload = {"stem": p_payload, "abelian": q_payload,
                "iso": matrix_to_lists(sd.iso.matrix)}
-    report = {"command": _echo(args), **payload}
-    return EXIT_OK, report, payload
+    return EXIT_OK, payload, payload
 
 
 def _check_budget(args):
@@ -373,13 +365,12 @@ def cmd_isoclinic(args):
         w = load_witness(args.witness, g1, g2)
         rep = verify_isoclinism(g1, g2, w)
         report = {
-            "command": _echo(args),
             "verdict": "isoclinic" if rep.passed else "not-verified",
             "failures": _failures_json(g1.field, rep),
         }
         return (EXIT_OK if rep.passed else EXIT_FALSE), report, None
     verdict, w = isoclinic_decide(g1, g2, args.budget)
-    report = {"command": _echo(args), "verdict": verdict}
+    report = {"verdict": verdict}
     if w is not None:
         report["witness"] = witness_to_dict(w, g1, g2)
     if g1.space.dims == g2.space.dims:
@@ -401,10 +392,8 @@ def cmd_iso_search(args):
     g2 = _load(args, args.file_b)
     found = iso_search(g1, g2, args.budget)
     if found is None:
-        report = {"command": _echo(args), "verdict": "no-isomorphism"}
-        return EXIT_FALSE, report, None
-    report = {"command": _echo(args), "verdict": "isomorphic",
-              "isomorphism": matrix_to_lists(found.matrix)}
+        return EXIT_FALSE, {"verdict": "no-isomorphism"}, None
+    report = {"verdict": "isomorphic", "isomorphism": matrix_to_lists(found.matrix)}
     return EXIT_OK, report, None
 
 

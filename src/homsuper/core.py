@@ -665,8 +665,9 @@ def is_stem(g: HomLieSuperalgebra) -> bool:
 
 def quotient(g: HomLieSuperalgebra, k: GradedSubspace,
              reps: Optional[GradedSubspace] = None):
-    """Quotient by a Hom-ideal, with structure constants expressed over a
-    deterministic graded complement of k (or the supplied one).
+    """Quotient by a Hom-ideal: the algebra `_induced` on a deterministic
+    graded complement of k (or the supplied one), in the coordinates of
+    the projection along k.
 
     Returns (quotient algebra, projection map).
     """
@@ -680,16 +681,10 @@ def quotient(g: HomLieSuperalgebra, k: GradedSubspace,
         if w.field != f or w.ambient_dims != g.space.dims or k.intersect(w).dim != 0 \
                 or k.dim + w.dim != g.dim:
             raise PreconditionError("quotient: supplied representatives do not complement the ideal")
-    k_vecs = k.full_basis_vectors()
-    w_vecs = w.full_basis_vectors()
-    basis = Matrix.from_columns(f, k_vecs + w_vecs, g.dim)
+    basis = Matrix.from_columns(f, k.full_basis_vectors() + w.full_basis_vectors(), g.dim)
     proj = basis.inverse().submatrix(range(k.dim, g.dim), range(g.dim))
-    qspace = SuperSpace(w.even.dim, w.odd.dim)
-    brackets = {(a, b): dict(enumerate(proj.matvec(g.bracket(w_vecs[a], w_vecs[b]))))
-                for a in range(len(w_vecs)) for b in range(a, len(w_vecs))}
-    twist = Matrix.from_columns(f, [proj.matvec(g.theta(wv)) for wv in w_vecs], w.dim)
-    qalg = HomLieSuperalgebra(qspace, brackets, twist)
-    return qalg, EvenLinearMap(g.space, qspace, proj)
+    qalg = _induced(g, w, proj.matvec)
+    return qalg, EvenLinearMap(g.space, qalg.space, proj)
 
 
 def _sum_layout(s1: SuperSpace, s2: SuperSpace) -> tuple:
@@ -744,30 +739,33 @@ def abelian(field: Field, even_dim: int, odd_dim: int,
 def subalgebra_on(g: HomLieSuperalgebra, k: GradedSubspace):
     """Induced algebra on a bracket-closed, twist-invariant graded subspace.
 
-    Returns (subalgebra, inclusion map).  The coordinates are the RREF
-    basis of k, even vectors first.  Each twist image and bracket of basis
-    vectors is computed once and expressed in those coordinates; one that
-    leaves k raises PreconditionError, the twist images checked first.
+    Returns (subalgebra, inclusion map).  The algebra is `_induced` in the
+    coordinates of the RREF basis of k, even vectors first.
     """
-    f = g.field
-    vecs = k.full_basis_vectors()
-    tw_cols = []
-    for v in vecs:
-        coords = k.coordinates_of(g.theta(v))
-        if coords is None:
-            raise PreconditionError("subspace is not twist-invariant")
-        tw_cols.append(coords)
-    brackets = {}
-    for a, va in enumerate(vecs):
-        for b in range(a, len(vecs)):
-            coords = k.coordinates_of(g.bracket(va, vecs[b]))
-            if coords is None:
-                raise PreconditionError("subspace is not closed under the bracket")
-            brackets[(a, b)] = dict(enumerate(coords))
-    space = SuperSpace(k.even.dim, k.odd.dim)
-    alg = HomLieSuperalgebra(space, brackets, Matrix.from_columns(f, tw_cols, k.dim))
-    incl = EvenLinearMap(space, g.space, Matrix.from_columns(f, vecs, g.dim))
-    return alg, incl
+    alg = _induced(g, k, k.coordinates_of)
+    incl = Matrix.from_columns(g.field, k.full_basis_vectors(), g.dim)
+    return alg, EvenLinearMap(alg.space, g.space, incl)
+
+
+def _induced(g: HomLieSuperalgebra, w: GradedSubspace, coords) -> HomLieSuperalgebra:
+    """The algebra on the basis of w whose twist and brackets are g's, each
+    twist image and bracket of basis vectors computed once and sent to
+    coordinates by `coords`, the twist images first.  One that `coords`
+    sends to None leaves the subspace and raises PreconditionError."""
+    vecs = w.full_basis_vectors()
+
+    def express(v, error):
+        col = coords(v)
+        if col is None:
+            raise PreconditionError(error)
+        return col
+
+    twist = [express(g.theta(v), "subspace is not twist-invariant") for v in vecs]
+    closed = "subspace is not closed under the bracket"
+    brackets = {(a, b): dict(enumerate(express(g.bracket(vecs[a], vecs[b]), closed)))
+                for a in range(len(vecs)) for b in range(a, len(vecs))}
+    return HomLieSuperalgebra(SuperSpace(w.even.dim, w.odd.dim), brackets,
+                              Matrix.from_columns(g.field, twist, w.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ pair of isomorphisms: one between the central quotients, one between the
 derived subalgebras, making the induced bracket square commute.  The
 module verifies witnesses, builds the witness induced by a homomorphism
 that is onto modulo the center, splits off a central abelian summand
-(stem decomposition), searches for isomorphisms, and decides isoclinism
+(stem decomposition), enumerates isomorphisms, and decides isoclinism
 through an isomorphism of stem parts, whose witness is induced by one
 homomorphism between the two algebras.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (EvenLinearMap, Failure, GradedSubspace, HomLieSuperalgebra,
                    ValidationReport, _once, bracket_span, center,
@@ -281,12 +281,12 @@ def iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     search that exhausts its family proves nothing and raises
     SearchInconclusive("restricted-search-exhausted").
 
-    The search is depth-first (see `_Search`) and generates only
-    candidates that satisfy the linear conditions on them, so it skips
-    whole ranges of the order without looking at them.  The budget counts
-    search nodes: every partial map the search examines, the empty map at
-    the root included.  Budget 0 therefore examines nothing, and once a
-    search would examine node budget + 1 it raises
+    The search is depth-first (see `_Search`), stops at the first
+    isomorphism, and generates only candidates that satisfy the linear
+    conditions on them, skipping whole ranges of the order unseen.  The
+    budget counts search nodes: every partial map the search examines,
+    the empty map at the root included.  Budget 0 therefore examines
+    nothing, and once a search would examine node budget + 1 it raises
     SearchInconclusive("budget").  A larger budget never turns a
     definitive result into an inconclusive one, nor changes it.
     """
@@ -295,10 +295,9 @@ def iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     if fingerprint(g1) != fingerprint(g2):
         return None
     search = _Search(g1, g2, budget)
-    if g1.field.p is not None:
-        return search.prime_field()
-    found = search.rationals()
-    if found is None:
+    prime = g1.field.p is not None
+    found = next(search.prime_field() if prime else search.rationals(), None)
+    if found is None and not prime:
         raise SearchInconclusive("restricted-search-exhausted")
     return found
 
@@ -372,8 +371,8 @@ def _entries(eq) -> list:
 
 
 class _Search:
-    """Depth-first search for the first isomorphism g1 -> g2 in candidate
-    order.
+    """Depth-first search: `prime_field` and `rationals` yield the
+    isomorphisms g1 -> g2 in candidate order, one leaf of `walk` each.
 
     A level of the search fixes some entries of the map: over a prime
     field one row of a parity block, over the rationals first the two
@@ -382,7 +381,7 @@ class _Search:
     testing the equations of `_equations` whose entries are all fixed for
     the first time at that level.  A child that fails is not expanded, so
     no completion of it is ever generated.  Children come in candidate
-    order, which makes the first leaf the first isomorphism.
+    order, and so do the leaves.
 
     Over a prime field the linear equations are solved instead of tested.
     E is walked inside the solutions of the equations that are linear in
@@ -431,22 +430,19 @@ class _Search:
                 return False
         return True
 
-    def depth_first(self, levels: list, k: int, state, leaf):
-        """The first leaf below a node at depth k, found by `leaf(state)`
-        once every level has fixed its entries; None when there is none.
-        levels[k] is (children, checks): children(state) writes each
-        child's entries into self.x and yields its state, or None for a
-        child that already failed."""
+    def walk(self, levels: list, k: int = 0, state=None):
+        """Yield at each leaf below a node at depth k, once every level has
+        fixed its entries.  levels[k] is (children, checks): children(state)
+        writes each child's entries into self.x and yields its state, or
+        None for a child that already failed."""
         if k == len(levels):
-            return leaf(state)
+            yield state
+            return
         children, checks = levels[k]
         for child in children(state):
             self.tick()
             if child is not None and self.holds(checks):
-                found = self.depth_first(levels, k + 1, child, leaf)
-                if found is not None:
-                    return found
-        return None
+                yield from self.walk(levels, k + 1, child)
 
     def candidate(self, _state) -> EvenLinearMap:
         d, x = self.d, self.x
@@ -458,7 +454,7 @@ class _Search:
 
     # -- prime fields -------------------------------------------------------
 
-    def prime_field(self) -> Optional[EvenLinearMap]:
+    def prime_field(self) -> Iterator[EvenLinearMap]:
         p, q, d = self.p, self.q, self.d
         even_lin, even_checks = [], [[] for _ in range(p)]
         odd_lin, odd_checks = [], [[] for _ in range(q)]
@@ -479,8 +475,9 @@ class _Search:
             for c, i in lin:
                 row[self.unknown(i, 0, p)] += c
             system.append(row)
-        return self.depth_first(self.block_levels(system, 0, p, even_checks), 0, None,
-                                lambda _: self.odd_block(odd_lin, odd_checks))
+        for _ in self.walk(self.block_levels(system, 0, p, even_checks)):
+            odd = self.block_levels(self.odd_system(odd_lin), p, q, odd_checks)
+            yield from map(self.candidate, self.walk(odd))
 
     def unknown(self, i: int, off: int, m: int) -> int:
         """The index of entry x[i] among the row-major entries of the
@@ -488,10 +485,10 @@ class _Search:
         r, c = divmod(i, self.d)
         return (r - off) * m + c - off
 
-    def odd_block(self, lin_eqs: list, checks: list) -> Optional[EvenLinearMap]:
-        """Walk O for the E now fixed in self.x: inside the solutions of
-        `lin_eqs`, each term of which holds one entry of O, testing
-        `checks`, one list per row of O."""
+    def odd_system(self, lin_eqs: list) -> list:
+        """O's linear system for the E now fixed in self.x: one row of
+        coefficients of O's entries per equation of `lin_eqs`, each term
+        of which holds one entry of O."""
         p, q, d, x = self.p, self.q, self.d, self.x
         system = []
         for lin, quad in lin_eqs:
@@ -503,8 +500,7 @@ class _Search:
                     i, j = j, i
                 row[self.unknown(i, p, q)] += c * x[j]
             system.append(row)
-        return self.depth_first(self.block_levels(system, p, q, checks), 0, None,
-                                self.candidate)
+        return system
 
     def block_levels(self, system: list, off: int, m: int, checks: list) -> list:
         """One level per row of the m x m block at offset off, walking the
@@ -548,7 +544,7 @@ class _Search:
 
     # -- the rationals ------------------------------------------------------
 
-    def rationals(self) -> Optional[EvenLinearMap]:
+    def rationals(self) -> Iterator[EvenLinearMap]:
         p, d, x, f = self.p, self.d, self.x, self.field
         checks = [[] for _ in range(d)]
         for eq in self.equations:
@@ -575,7 +571,7 @@ class _Search:
         levels = [(perms(even), ()), (perms(odd), ())]
         levels += [(column(c, even if c < p else odd), checks[c]) for c in range(d)]
         self.tick()
-        return self.depth_first(levels, 0, (), self.candidate)
+        yield from map(self.candidate, self.walk(levels, 0, ()))
 
 
 def _grow_echelon(echelon: tuple, row: list, mod: int) -> Optional[tuple]:
