@@ -1,7 +1,7 @@
 """Reference implementations of `iso_search`: two positional enumerators
 over the same candidates, in the same order.
 
-`reference_iso_search` examines every candidate in turn.
+`reference_iso_search` examines every candidate of `candidates` in turn.
 `pruned_reference_iso_search` rejects whole parity blocks at once and is
 fast enough for the cases the brute-force one cannot finish.  Both count
 their budget in positions of the candidate order, not in search nodes,
@@ -27,30 +27,32 @@ def reference_iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     if fingerprint(g1) != fingerprint(g2):
         return None
     f = g1.field
-    p, q = g1.space.dims
-    count = 0
+    for count, m in enumerate(candidates(f, *g1.space.dims, scalars), 1):
+        if count > budget:
+            raise SearchInconclusive("budget")
+        cand = EvenLinearMap(g1.space, g2.space, m)
+        if m.is_invertible() and is_isomorphism(cand, g1, g2):
+            return cand
+    if f.p is None:
+        raise SearchInconclusive("restricted-search-exhausted")
+    return None
+
+
+def candidates(f: Field, p: int, q: int, scalars: Sequence = DEFAULT_SCALARS):
+    """The candidate matrices diag(E, O) of the search, in its order: over
+    a prime field every even matrix, lexicographically in the entries of E
+    row by row, then those of O; over the rationals the restricted family,
+    by even permutation, odd permutation, then diagonal."""
     if f.p is not None:
         for flat in itertools.product(f.elements(), repeat=p * p + q * q):
-            count += 1
-            if count > budget:
-                raise SearchInconclusive("budget")
-            m = _even_matrix_from_blocks(f, p, q,
-                                         flat[:p * p], flat[p * p:])
-            if not m.is_invertible():
-                continue
-            cand = EvenLinearMap(g1.space, g2.space, m)
-            if is_isomorphism(cand, g1, g2):
-                return cand
-        return None
+            yield _even_matrix_from_blocks(f, p, q, flat[:p * p], flat[p * p:])
+        return
     scalars = tuple(f.of(c) for c in scalars)
     if any(c == 0 for c in scalars):
         raise ValueError("diagonal scalars must be nonzero")
     for pe in itertools.permutations(range(p)):
         for po in itertools.permutations(range(q)):
             for diag in itertools.product(scalars, repeat=p + q):
-                count += 1
-                if count > budget:
-                    raise SearchInconclusive("budget")
                 cols = []
                 for i in range(p):
                     cols.append([diag[i] if r == pe[i] else f.zero for r in range(p)]
@@ -58,10 +60,7 @@ def reference_iso_search(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
                 for i in range(q):
                     cols.append([f.zero] * p
                                 + [diag[p + i] if r == po[i] else f.zero for r in range(q)])
-                cand = EvenLinearMap(g1.space, g2.space, Matrix.from_columns(f, cols, p + q))
-                if is_isomorphism(cand, g1, g2):
-                    return cand
-    raise SearchInconclusive("restricted-search-exhausted")
+                yield Matrix.from_columns(f, cols, p + q)
 
 
 def _even_matrix_from_blocks(f: Field, p: int, q: int,

@@ -25,12 +25,13 @@ from fractions import Fraction
 
 import pytest
 
-from reference_search import pruned_reference_iso_search, reference_iso_search
+from reference_search import candidates, pruned_reference_iso_search, reference_iso_search
 
-from homsuper.core import HomLieSuperalgebra, SuperSpace, abelian, direct_sum
+from homsuper.core import (EvenLinearMap, HomLieSuperalgebra, SuperSpace, abelian, direct_sum,
+                           is_isomorphism)
 from homsuper.corpus import g22, hs, hs2, t2
 from homsuper.errors import SearchInconclusive
-from homsuper.isoclinism import DEFAULT_BUDGET, DEFAULT_SCALARS, iso_search
+from homsuper.isoclinism import DEFAULT_BUDGET, DEFAULT_SCALARS, _Search, iso_search
 from homsuper.linalg import GF, QQ, Matrix
 
 BUDGETS = (0, 1, 4, 5, 7, 10, 11, 100, 1000, 6561)
@@ -216,3 +217,21 @@ def test_budget_counts_examined_nodes(name, g, nodes):
     on the odd part."""
     assert _outcome(iso_search, g, g, nodes)[0] == "map", name
     assert _outcome(iso_search, g, g, nodes - 1) == ("inconclusive", "budget"), name
+
+
+def test_search_yields_every_isomorphism_in_candidate_order():
+    """The search's generator yields exactly the candidates that are
+    isomorphisms, in candidate order: every even matrix over F_3, the
+    restricted family over Q.  Each pair is a base algebra and a seeded
+    transport of it, dense over F_3 and monomial over Q so that the family
+    holds isomorphisms, with at most 3^5 candidates."""
+    rng = random.Random(31)
+    for g in (hs(F3), t2(F3), hso(F3), g21(F3), hs(QQ), t2(QQ)):
+        f, (p, q) = g.field, g.space.dims
+        h = transport(g, random_even(f, p, q, rng, monomial=f.p is None))
+        search = _Search(g, h, UNBOUNDED)
+        got = [m.matrix.entries for m in (search.prime_field() if f.p else search.rationals())]
+        want = [m.entries for m in candidates(f, p, q)
+                if m.is_invertible() and is_isomorphism(EvenLinearMap(g.space, h.space, m), g, h)]
+        assert got == want and want, (g, h)
+        assert iso_search(g, h, UNBOUNDED).matrix.entries == want[0]
