@@ -172,19 +172,8 @@ def test_invalid_algebra_is_an_input_error(command, tmp_path, capsys):
     assert_input_error(argv, capsys, f"{bad} is not a valid algebra")
 
 
-#: {z, c | f} with [f, f] = z and theta(c) = 2c + z: the greedy complement
-#: span(c) of the derived subalgebra in the center is not twist-invariant.
-ZC = {
-    "name": "zc", "field": "Q", "even_dim": 2, "odd_dim": 1,
-    "basis_names": ["z", "c", "f"],
-    "brackets": [{"i": 2, "j": 2, "result": {"0": "1"}}],
-    "theta": [["1", "1", "0"], ["0", "2", "0"], ["0", "0", "1"]],
-}
-
-
-def test_stem_decompose_failed_precondition_exits_1(tmp_path, capsys):
-    path = tmp_path / "zc.json"
-    save_json(str(path), ZC)
+def test_stem_decompose_failed_precondition_exits_1(capsys):
+    path = GOLDEN / "inputs" / "zc.json"
     code, out = run(["stem-decompose", str(path)], capsys)
     assert code == cli.EXIT_FALSE == 1
     assert json.loads(out) == {"command": ["stem-decompose", f"file={path}"],
@@ -280,3 +269,4 @@ def test_hostile_json_is_an_input_error(theta, message, tmp_path, capsys):
     path.write_bytes(b'{"name": "x", "field": "Q", "even_dim": 1, "odd_dim": 0, '
                      b'"brackets": [], "theta": ' + theta + b"}")
     assert_input_error(["check", str(path)], capsys, f"invalid JSON in {path}: {message}")
+
