@@ -2,9 +2,12 @@
 
 All scalars are encoded as strings: "a" or "a/b" with b > 0 and
 gcd(|a|, b) = 1 over the rationals, decimal strings in [0, p) over a
-prime field.  Non-canonical but well-formed inputs (say "4/6") are
-accepted and canonicalized, so parse -> serialize -> parse is the
-identity on canonical files.  Only bracket entries with i <= j are
+prime field.  Non-canonical but well-formed inputs (say "4/6", or "1e3"
+over the rationals) are accepted and canonicalized, so parse -> serialize
+-> parse is the identity on canonical files.  A scalar whose value has
+more than 4,300 digits in its numerator or denominator, CPython's default
+limit for int strings, is a FormatError, however it is spelled: "1e5000"
+is refused as promptly as a 5,000-digit literal.  Only bracket entries with i <= j are
 accepted; a redundant i > j entry is a load-time error, keeping one
 canonical source of truth per structure constant.
 """

@@ -46,7 +46,9 @@ The two identity kernels, `core.check_hom_jacobi` and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -82,6 +84,41 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+#: CPython's default limit on the digits of an int read from a string: a
+#: rational scalar whose numerator or denominator has more is refused.
+_MAX_DIGITS = 4300
+#: The exponent of a decimal scalar, spelled as `Fraction` reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text), refusing a value of more than _MAX_DIGITS digits.
+
+    Without an exponent a value has no more digits than its text has
+    characters, so a short text is read as it is.  `Fraction` applies an
+    exponent e by building 10**|e|, which takes seconds once |e| runs into
+    the millions.  A nonzero value whose |e| exceeds _MAX_DIGITS plus the
+    length of its text has more digits than _MAX_DIGITS, so only its
+    mantissa, the text with exponent 0, is read: to refuse the value, or
+    to return 0."""
+    if len(text) <= _MAX_DIGITS and "e" not in text and "E" not in text:
+        return Fraction(text)
+    m = _EXPONENT.search(text)
+    too_long = ValueError(f"value has more than {_MAX_DIGITS} digits")
+    if m and abs(int(m[1])) > _MAX_DIGITS + len(text):
+        try:
+            mantissa = Fraction(text[:m.start(1)] + "0" + text[m.end(1):])
+        except ValueError:
+            mantissa = Fraction(text)  # malformed too, so refused before 10**|e| is built
+        if mantissa:
+            raise too_long
+        return mantissa
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 10 ** _MAX_DIGITS:
+        raise too_long
+    return value
 
 
 @dataclass(frozen=True)
@@ -138,18 +175,26 @@ class Field:
         return int(x) % self.p
 
     def parse(self, text: str):
-        """Parse "a" or "a/b" (rationals) or a decimal string (prime fields)."""
+        """Parse "a" or "a/b" (rationals) or a decimal string (prime fields).
+        A value whose numerator or denominator has more than _MAX_DIGITS
+        digits is refused, exponent notation included (see `_rational`)."""
         try:
             if self.p is None:
-                return Fraction(text)
+                return _rational(text)
             return int(text) % self.p
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad scalar {text!r} for field {self.name}: {exc}") from None
 
     def fmt(self, a) -> str:
-        """Canonical string form; inverse of parse on canonical elements."""
+        """Canonical string form; inverse of parse on canonical elements.
+        Every value is printed in full: `Decimal` prints the ints that are
+        past the int-string digit limit."""
         if self.p is None:
-            return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+            try:
+                return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+            except ValueError:
+                n, d = str(Decimal(a.numerator)), str(Decimal(a.denominator))
+                return n if a.denominator == 1 else f"{n}/{d}"
         return str(a)
 
     def add(self, a, b):

@@ -270,3 +270,38 @@ def test_hostile_json_is_an_input_error(theta, message, tmp_path, capsys):
                      b'"brackets": [], "theta": ' + theta + b"}")
     assert_input_error(["check", str(path)], capsys, f"invalid JSON in {path}: {message}")
 
+
+@pytest.mark.parametrize("scalar", ["1e5000", "-2.5e-5000"])
+def test_scalar_past_the_digit_limit_is_an_input_error(scalar, tmp_path, capsys):
+    """An exponent makes a short string a value of more digits than the
+    limit on int strings; it is refused as bad input (exit 2) before the
+    value is built, as a literal of that many digits is."""
+    path = tmp_path / "huge.json"
+    save_json(str(path), {"name": "e", "field": "Q", "even_dim": 1, "odd_dim": 0,
+                          "theta": [[scalar]], "brackets": []})
+    assert_input_error(["check", str(path)], capsys,
+                       f"bad scalar {scalar!r} for field Q: value has more than 4300 digits")
+
+
+def test_huge_report_values_print_in_full(tmp_path, capsys):
+    """Values past the int-string digit limit that the computations make
+    from inputs under it are printed in full, not raised as a traceback.
+    The abelian (2|0) algebra with theta = 10^3000 I is valid, and its
+    twist's characteristic polynomial ends in 10^6000.  [x0, x1] = x0 with
+    theta = 10^2500 I is not multiplicative: theta([x0, x1]) is 10^2500 x0,
+    [theta x0, theta x1] is 10^5000 x0."""
+    def write(name, brackets, scale):
+        path = tmp_path / f"{name}.json"
+        save_json(str(path), {"name": name, "field": "Q", "even_dim": 2, "odd_dim": 0,
+                              "theta": [[scale, "0"], ["0", scale]], "brackets": brackets})
+        return str(path)
+
+    code, out = run(["invariants", write("abelian", [], "1e3000")], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["fingerprint"]["twist_charpoly"] == [
+        "1", "-2" + "0" * 3000, "1" + "0" * 6000]
+    bracket = [{"i": 0, "j": 1, "result": {"0": "1"}}]
+    code, out = run(["check", write("x01", bracket, "1e2500")], capsys)
+    assert code == cli.EXIT_FALSE
+    failure, = json.loads(out)["checks"]["multiplicative"]["failures"]
+    assert (failure["lhs"], failure["rhs"]) == (["1" + "0" * 2500, "0"], ["1" + "0" * 5000, "0"])
