@@ -6,10 +6,10 @@ prime field.  Non-canonical but well-formed inputs (say "4/6", or "1e3"
 over the rationals) are accepted and canonicalized, so parse -> serialize
 -> parse is the identity on canonical files.  A scalar whose value has
 more than 4,300 digits in its numerator or denominator, CPython's default
-limit for int strings, is a FormatError, however it is spelled: "1e5000"
-is refused as promptly as a 5,000-digit literal.  Only bracket entries with i <= j are
-accepted; a redundant i > j entry is a load-time error, keeping one
-canonical source of truth per structure constant.
+limit for int strings, is a FormatError however it is spelled: "1e5000"
+is refused as promptly as a 5,000-digit literal.  Only bracket entries
+with i <= j are accepted; a redundant i > j entry is a load-time error,
+keeping one canonical source of truth per structure constant.
 """
 
 from __future__ import annotations

@@ -106,19 +106,18 @@ def _rational(text: str) -> Fraction:
     if len(text) <= _MAX_DIGITS and "e" not in text and "E" not in text:
         return Fraction(text)
     m = _EXPONENT.search(text)
-    too_long = ValueError(f"value has more than {_MAX_DIGITS} digits")
     if m and abs(int(m[1])) > _MAX_DIGITS + len(text):
         try:
-            mantissa = Fraction(text[:m.start(1)] + "0" + text[m.end(1):])
+            value = Fraction(text[:m.start(1)] + "0" + text[m.end(1):])
         except ValueError:
-            mantissa = Fraction(text)  # malformed too, so refused before 10**|e| is built
-        if mantissa:
-            raise too_long
-        return mantissa
-    value = Fraction(text)
-    if max(abs(value.numerator), value.denominator) >= 10 ** _MAX_DIGITS:
-        raise too_long
-    return value
+            value = Fraction(text)  # malformed too, so refused before 10**|e| is built
+        if not value:
+            return value
+    else:
+        value = Fraction(text)
+        if max(abs(value.numerator), value.denominator) < 10 ** _MAX_DIGITS:
+            return value
+    raise ValueError(f"value has more than {_MAX_DIGITS} digits")
 
 
 @dataclass(frozen=True)
@@ -186,13 +185,13 @@ class Field:
             raise FormatError(f"bad scalar {text!r} for field {self.name}: {exc}") from None
 
     def fmt(self, a) -> str:
-        """Canonical string form; inverse of parse on canonical elements.
-        Every value is printed in full: `Decimal` prints the ints that are
-        past the int-string digit limit."""
+        """Canonical string form; inverse of parse on canonical elements of
+        at most _MAX_DIGITS digits.  Longer values, which only computations
+        make, are printed in full too."""
         if self.p is None:
             try:
                 return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-            except ValueError:
+            except ValueError:  # past the int-string digit limit, which Decimal does not have
                 n, d = str(Decimal(a.numerator)), str(Decimal(a.denominator))
                 return n if a.denominator == 1 else f"{n}/{d}"
         return str(a)
