@@ -469,14 +469,8 @@ class _Search:
             else:
                 odd_checks[row - p].append(eq)
         self.tick()
-        system = []
-        for lin, _ in even_lin:
-            row = [0] * (p * p)
-            for c, i in lin:
-                row[self.unknown(i, 0, p)] += c
-            system.append(row)
-        for _ in self.walk(self.block_levels(system, 0, p, even_checks)):
-            odd = self.block_levels(self.odd_system(odd_lin), p, q, odd_checks)
+        for _ in self.walk(self.block_levels(even_lin, 0, p, even_checks)):
+            odd = self.block_levels(odd_lin, p, q, odd_checks)
             yield from map(self.candidate, self.walk(odd))
 
     def unknown(self, i: int, off: int, m: int) -> int:
@@ -485,33 +479,26 @@ class _Search:
         r, c = divmod(i, self.d)
         return (r - off) * m + c - off
 
-    def odd_system(self, lin_eqs: list) -> list:
-        """O's linear system for the E now fixed in self.x: one row of
-        coefficients of O's entries per equation of `lin_eqs`, each term
-        of which holds one entry of O."""
-        p, q, d, x = self.p, self.q, self.d, self.x
-        system = []
-        for lin, quad in lin_eqs:
-            row = [0] * (q * q)
-            for c, i in lin:
-                row[self.unknown(i, p, q)] += c
-            for c, i, j in quad:
-                if j // d >= p:
-                    i, j = j, i
-                row[self.unknown(i, p, q)] += c * x[j]
-            system.append(row)
-        return system
-
-    def block_levels(self, system: list, off: int, m: int, checks: list) -> list:
+    def block_levels(self, lin_eqs: list, off: int, m: int, checks: list) -> list:
         """One level per row of the m x m block at offset off, walking the
-        solutions of `system`, rows of coefficients of the block's entries
-        in row-major order.  A level's state is the block's entries so far,
-        as a solution vector, and the echelon rows of the block's rows so
-        far; the first level takes the state None."""
+        solutions of `lin_eqs`.  Each term of those equations holds one
+        entry of the block; a quadratic term also holds one of an earlier
+        block, now fixed in self.x.  A level's state is the block's entries
+        so far, as a solution vector, and the echelon rows of the block's
+        rows so far; the first level takes the state None."""
         mod, d, x = self.mod, self.d, self.x
         n = m * m
-        rows = tuple(tuple(c % mod for c in row) for row in system)
-        basis = Matrix(self.field, len(rows), n, rows).nullspace().basis_rows()
+        rows = []
+        for lin, quad in lin_eqs:
+            row = [0] * n
+            for c, i in lin:
+                row[self.unknown(i, off, m)] += c
+            for c, i, j in quad:
+                if j // d >= off:
+                    i, j = j, i
+                row[self.unknown(i, off, m)] += c * x[j]
+            rows.append(tuple(c % mod for c in row))
+        basis = Matrix(self.field, len(rows), n, tuple(rows)).nullspace().basis_rows()
         elems = range(mod)
 
         def level(r):
