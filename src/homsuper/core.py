@@ -753,17 +753,19 @@ def _induced(g: HomLieSuperalgebra, w: GradedSubspace, coords) -> HomLieSuperalg
     coordinates by `coords`, the twist images first.  One that `coords`
     sends to None leaves the subspace and raises PreconditionError."""
     vecs = w.full_basis_vectors()
-
-    def express(v, error):
-        col = coords(v)
+    twist = []
+    for v in vecs:
+        col = coords(g.theta(v))
         if col is None:
-            raise PreconditionError(error)
-        return col
-
-    twist = [express(g.theta(v), "subspace is not twist-invariant") for v in vecs]
-    closed = "subspace is not closed under the bracket"
-    brackets = {(a, b): dict(enumerate(express(g.bracket(vecs[a], vecs[b]), closed)))
-                for a in range(len(vecs)) for b in range(a, len(vecs))}
+            raise PreconditionError("subspace is not twist-invariant")
+        twist.append(col)
+    brackets = {}
+    for a, va in enumerate(vecs):
+        for b in range(a, len(vecs)):
+            col = coords(g.bracket(va, vecs[b]))
+            if col is None:
+                raise PreconditionError("subspace is not closed under the bracket")
+            brackets[(a, b)] = dict(enumerate(col))
     return HomLieSuperalgebra(SuperSpace(w.even.dim, w.odd.dim), brackets,
                               Matrix.from_columns(g.field, twist, w.dim))
 

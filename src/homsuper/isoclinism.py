@@ -431,18 +431,23 @@ class _Search:
         return True
 
     def walk(self, levels: list, k: int = 0, state=None):
-        """Yield at each leaf below a node at depth k, once every level has
-        fixed its entries.  levels[k] is (children, checks): children(state)
-        writes each child's entries into self.x and yields its state, or
-        None for a child that already failed."""
-        if k == len(levels):
+        """Yield the state of each leaf below a node at depth k, a child of
+        the last level, once every level has fixed its entries; without
+        levels, the root's state.  levels[k] is (children, checks):
+        children(state) writes each child's entries into self.x and yields
+        its state, or None for a child that already failed."""
+        if not levels:
             yield state
             return
         children, checks = levels[k]
+        last = k + 1 == len(levels)
         for child in children(state):
             self.tick()
             if child is not None and self.holds(checks):
-                yield from self.walk(levels, k + 1, child)
+                if last:
+                    yield child
+                else:
+                    yield from self.walk(levels, k + 1, child)
 
     def candidate(self, _state) -> EvenLinearMap:
         d, x = self.d, self.x
