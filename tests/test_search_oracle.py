@@ -13,7 +13,9 @@ rest.  The references count their budget in positions of the candidate
 order and the search in examined nodes, so at a finite budget the search
 is checked against its own unbounded result instead: at every budget in
 BUDGETS it must give that result or SearchInconclusive("budget"), and
-once definitive it must stay definitive at every larger budget.
+once definitive it must stay definitive at every larger budget.  On
+pairs of at most 3^5 candidates, the search's generator must also yield
+every isomorphism among the brute-force candidates, in their order.
 
 The default set runs in a few seconds; `pytest --sweep` also runs a larger
 sweep with more transports per base algebra.
