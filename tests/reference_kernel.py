@@ -13,6 +13,10 @@ axioms on every basis pair and triple, without the table's row index:
 `reference_validate_factor_set`, `reference_center` and
 `reference_derived`.  The sparse versions in `homsuper` must give the same
 failure tuples, entry types included, and the same subspaces.
+`reference_preservation_failures` checks bracket preservation pair by
+pair through `reference_matvec` and `reference_eval`, and
+`reference_check_homomorphism` adds the twist intertwining through
+`reference_matmul`.
 
 `reference_stem_decompose` extends the derived subalgebra by its own
 greedy walk over the standard basis, checks twist invariance with its own
@@ -175,6 +179,31 @@ def reference_validate_factor_set(fs) -> ValidationReport:
                               vec_scale(f, sgn, r(tw[j], br(e[i], e[k]))))
                 if lhs != rhs:
                     fails.append(Failure("factor-cocycle", (i, j, k), lhs, rhs))
+    return ValidationReport(tuple(fails))
+
+
+def reference_preservation_failures(axiom: str, t1, t2, a: Matrix, b: Matrix) -> tuple:
+    """Pairs i <= j breaking b(t1(b_i, b_j)) = t2(a b_i, a b_j)."""
+    fails = []
+    for i in range(t1.source.dim):
+        for j in range(i, t1.source.dim):
+            lhs = reference_matvec(b, t1.value(i, j))
+            rhs = reference_eval(t2, a.col(i), a.col(j))
+            if lhs != rhs:
+                fails.append(Failure(axiom, (i, j), lhs, rhs))
+    return tuple(fails)
+
+
+def reference_check_homomorphism(f: EvenLinearMap, g1, g2) -> ValidationReport:
+    """Bracket preservation on the basis pairs i <= j, then twist
+    intertwining column by column."""
+    m = f.matrix
+    fails = list(reference_preservation_failures("homomorphism-bracket", g1.table, g2.table,
+                                                 m, m))
+    left, right = reference_matmul(m, g1.twist), reference_matmul(g2.twist, m)
+    for i in range(g1.dim):
+        if left.col(i) != right.col(i):
+            fails.append(Failure("homomorphism-twist", (i,), left.col(i), right.col(i)))
     return ValidationReport(tuple(fails))
 
 

@@ -1,7 +1,9 @@
 """The sparse structure-constant kernels against their dense references.
 
 `GradedBilinearTable.eval`, `skew_failures`, `check_hom_jacobi`,
-`validate_factor_set`, `center` and `derived` walk the table's row index;
+`validate_factor_set`, `center` and `derived` walk the table's row index,
+and the bracket-preservation loop behind `check_multiplicative`,
+`check_homomorphism` and `check_multiplicative_factor_set` walks it too;
 the references in reference_kernel.py evaluate every coordinate pair and
 check every basis pair and triple.  Both must give the same failure tuples
 (compared through repr, so that entry types count: Fraction(0) == 0) and
@@ -19,7 +21,10 @@ with one bracket value changed or with a random (dense, mostly
 non-multiplicative) twist, random tables with or without parity, and any
 of these with injected i > j cells.  Factor sets
 are read off valid algebras and then perturbed, or drawn at random over
-any generated quotient.  The last tests use the shape the ladder workload
+any generated quotient.  Homomorphisms are checked on random even maps
+between two such algebras over one field, square or not, singular or
+invertible, and on the transporting map of a transport, which is an
+isomorphism when the algebra has no injected cells.  The last tests use the shape the ladder workload
 of the benchmark runs over Q: signed-permutation transports of g22^(+)2.
 """
 
@@ -32,12 +37,14 @@ from hypothesis import strategies as st
 
 from reference_kernel import (field_ops_check_hom_jacobi, field_ops_eval,
                               field_ops_validate_factor_set, reference_center,
-                              reference_check_hom_jacobi, reference_derived,
-                              reference_eval, reference_skew_failures,
+                              reference_check_hom_jacobi, reference_check_homomorphism,
+                              reference_derived, reference_eval,
+                              reference_preservation_failures, reference_skew_failures,
                               reference_validate_factor_set)
 
-from homsuper.core import (HomLieSuperalgebra, SuperSpace, center, check_hom_jacobi,
-                           derived, direct_sum)
+from homsuper.core import (EvenLinearMap, HomLieSuperalgebra, SuperSpace,
+                           _preservation_failures, center, check_hom_jacobi,
+                           check_homomorphism, check_multiplicative, derived, direct_sum)
 from homsuper.corpus import g22, hs, hs2, t2
 from homsuper.errors import PreconditionError
 from homsuper.factorset import FactorSet, factor_set_from_complement, validate_factor_set
@@ -84,6 +91,13 @@ def scalars(field):
     return st.integers(0, field.p - 1)
 
 
+def even_map_matrix(draw, field, source, target):
+    """A random even target.dim x source.dim matrix."""
+    rows = [[draw(scalars(field)) if target.parity(i) == source.parity(j) else 0
+             for j in range(source.dim)] for i in range(target.dim)]
+    return Matrix.from_rows(field, rows, source.dim)
+
+
 def even_matrix(draw, field, p, q, invertible):
     """A random even matrix; with invertible, a random invertible one."""
     d = p + q
@@ -123,8 +137,9 @@ def with_injected(draw, g):
 
 
 @st.composite
-def algebras(draw):
-    field = draw(st.sampled_from(FIELDS))
+def algebras(draw, field=None):
+    if field is None:
+        field = draw(st.sampled_from(FIELDS))
     kind = draw(st.sampled_from(["valid", "bracket", "twist", "random"]))
     if kind == "random":
         space = SuperSpace(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
@@ -185,6 +200,8 @@ def assert_kernels_agree(g):
     jacobi = repr(check_hom_jacobi(g))
     assert jacobi == repr(reference_check_hom_jacobi(g))
     assert jacobi == repr(field_ops_check_hom_jacobi(g))
+    assert repr(check_multiplicative.__wrapped__(g).failures) == repr(
+        reference_preservation_failures("multiplicative", g.table, g.table, g.twist, g.twist))
     assert repr(g.table.skew_failures("s")) == repr(reference_skew_failures(g.table, "s"))
     assert outcome(center, g) == outcome(reference_center, g)
     assert outcome(derived, g) == outcome(reference_derived, g)
@@ -212,6 +229,44 @@ def test_validate_factor_set_matches_dense_reference(fs):
     got = repr(validate_factor_set(fs))
     assert got == repr(reference_validate_factor_set(fs))
     assert got == repr(field_ops_validate_factor_set(fs))
+    args = ("factor-multiplicative", fs.table, fs.table, fs.quotient.twist, fs.center_twist)
+    assert repr(_preservation_failures(*args)) == repr(reference_preservation_failures(*args))
+
+
+@st.composite
+def homomorphisms(draw):
+    """(f, g1, g2) with f an even map g1 -> g2 over one field: a random
+    map between two algebras, a random square map of an algebra to itself,
+    or the transporting map P of g1 onto P.g1, possibly with one entry
+    changed; either algebra may then get injected cells."""
+    field = draw(st.sampled_from(FIELDS))
+    g1 = draw(algebras(field))
+    kind = draw(st.sampled_from(["any", "any", "square", "transport"]))
+    if kind == "transport":
+        m = even_matrix(draw, field, *g1.space.dims, invertible=True)
+        g2 = transport(g1, m)
+        if g1.dim and draw(st.booleans()):
+            i = draw(st.integers(0, g1.dim - 1))
+            j = draw(st.sampled_from([j for j in range(g1.dim)
+                                      if g1.space.parity(j) == g1.space.parity(i)]))
+            rows = [list(r) for r in m.entries]
+            rows[i][j] = draw(scalars(field))
+            m = Matrix.from_rows(field, rows, g1.dim)
+    elif kind == "square":
+        g2 = g1
+        m = even_matrix(draw, field, *g1.space.dims, invertible=draw(st.booleans()))
+    else:
+        g2 = draw(algebras(field))
+        m = even_map_matrix(draw, field, g1.space, g2.space)
+    g2 = with_injected(draw, g2)
+    return EvenLinearMap(g1.space, g2.space, m), g1, g2
+
+
+@ORACLE
+@given(homomorphisms())
+def test_check_homomorphism_matches_dense_reference(case):
+    f, g1, g2 = case
+    assert repr(check_homomorphism(f, g1, g2)) == repr(reference_check_homomorphism(f, g1, g2))
 
 
 def signed_permutation(field, p, q, rng):
