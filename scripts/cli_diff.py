@@ -17,11 +17,12 @@ agree:
     and by coordinates otherwise;
   * iso-search and isoclinic --decide on every ordered pair of corpus
     files over the same field;
-  * check on the inputs that fail the Jacobi identity or multiplicativity,
-    extend on the one that fails the cocycle identity, isoclinic
-    --witness on a witness whose maps do not preserve brackets, so that
-    failure lists count too, and stem-decompose on zc, whose greedy
-    abelian part is not twist-invariant;
+  * check on the inputs that fail the Jacobi identity or multiplicativity
+    (one of them a dense transport over Q with its twist doubled), extend
+    on the one that fails the cocycle identity, isoclinic --witness on two
+    witnesses whose maps do not preserve brackets (one over F_3, one over
+    Q whose derived map is doubled), so that failure lists count too, and
+    stem-decompose on zc, whose greedy abelian part is not twist-invariant;
   * the top-level help and that of every subcommand, and the usage errors
     of no arguments, an unknown subcommand, every subcommand without its
     arguments and an unrecognized option.
@@ -51,10 +52,13 @@ INPUTS = ROOT / "tests" / "golden" / "cli" / "inputs"
 #: reports they pin.
 INVALID = (("check", "inputs/jacobi_dense_q.json"), ("check", "inputs/jacobi_f3.json"),
            ("check", "inputs/multiplicative_f3.json"),
+           ("check", "inputs/multiplicative_dense_q.json"),
            ("extend", "inputs/cocycle_g22_hs.json"),
            ("stem-decompose", "inputs/zc.json"),
            ("isoclinic", "corpus/g22_f3.json", "corpus/g22_f3.json",
-            "--witness", "inputs/witness_g22_f3_dense.json"))
+            "--witness", "inputs/witness_g22_f3_dense.json"),
+           ("isoclinic", "inputs/g22_hs_dense_q.json", "inputs/g22_hs_dense_q.json",
+            "--witness", "inputs/witness_g22_hs_dense_q_doubled.json"))
 SUBCOMMANDS = ("check", "invariants", "quotient", "sum", "factorset", "extend",
                "stem-decompose", "isoclinic", "iso-search")
 #: Help and usage calls: argparse prints these and exits.

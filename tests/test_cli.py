@@ -9,11 +9,13 @@ through SystemExit.  A case marked "artifact" is also run with
 --output, and the written file must equal <slug>.artifact.json; later
 cases read those files, so each --output is fed back into the next
 command.  Hand-written inputs live in inputs/: witness files (one over F_3
-whose maps fail to preserve brackets), two algebras that fail the Jacobi
-identity (a dense transport over Q with one bracket value changed, so the
-failing sums are fractional, and one over F_3), a dense transport over F_3
-with its twist doubled, so that only multiplicativity fails, a factor
-set that fails the cocycle identity, and zc, {z, c | f} with [f, f] = z
+whose maps fail to preserve brackets, and one whose derived map is doubled
+on g22_hs_dense_q, a dense transport of g22 + hs over Q), two algebras that
+fail the Jacobi identity (a dense transport over Q with one bracket value
+changed, so the failing sums are fractional, and one over F_3), two dense
+transports with their twist doubled, so that only multiplicativity fails
+(over F_3, and g22_hs_dense_q over Q, whose failing sums are fractional), a
+factor set that fails the cocycle identity, and zc, {z, c | f} with [f, f] = z
 and theta(c) = 2c + z, which stem-decompose refuses because its greedy
 abelian part span(c) is not twist-invariant.
 """
