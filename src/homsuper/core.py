@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, wraps
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .linalg import (Field, Matrix, Subspace, _Slots, _accumulate, _dense_vec,
-                     _int_scale, _reduced_vec, basis_vec, vec_is_zero, vec_scale,
-                     zero_vec)
+                     _reduced_vec, basis_vec, vec_is_zero, vec_scale, zero_vec)
 
 EVEN, ODD = 0, 1
 
@@ -185,16 +185,34 @@ class GradedBilinearTable:
         return _reduced_vec(self.field, self.target.dim, acc)
 
     def _int_rows(self) -> tuple:
-        """(scale, rows, cells) for the identity kernels: scale is the lcm of
-        the stored values' denominators (1 over F_p), cells holds every
-        stored cell once as its (k, value * scale) int pairs, and rows is the
-        row index with those pairs in place of the cell dicts it refers to."""
-        scale = _int_scale(v for cell in self.cells.values() for v in cell.values())
-        ints = {id(cell): tuple((k, v.numerator * (scale // v.denominator))
-                                for k, v in cell.items())
-                for cell in self.cells.values()}
-        rows = [{j: (s, ints[id(cell)]) for j, (s, cell) in row.items()} for row in self.rows]
-        return scale, rows, tuple(ints.values())
+        """(scale, rows, cells, entry bound, cell bound) for the integer
+        kernels.  Over Q, scale is the lcm of the stored values'
+        denominators, cells holds every stored cell once as a {k: value *
+        scale} int dict, and rows is the row index with those dicts in place
+        of the cell dicts it refers to.  Over F_p the residues are ints
+        already: the scale is 1, and rows and cells are the table's own.
+        The bounds are the largest absolute entry and cell sum of cells."""
+        cells = self.cells.values()
+        if self.field.p is None:
+            scale = lcm(*{v.denominator for cell in cells for v in cell.values()})
+            ints = {id(cell): {k: v.numerator * (scale // v.denominator)
+                               for k, v in cell.items()} for cell in cells}
+            rows = [{j: (s, ints[id(cell)]) for j, (s, cell) in row.items()}
+                    for row in self.rows]
+            cells = ints.values()
+        else:
+            scale, rows = 1, self.rows
+        entry = total = 0
+        for cell in cells:
+            cell_sum = 0
+            for v in cell.values():
+                v = abs(v)
+                cell_sum += v
+                if v > entry:
+                    entry = v
+            if cell_sum > total:
+                total = cell_sum
+        return scale, rows, tuple(cells), entry, total
 
     def parity_failures(self, axiom: str) -> tuple:
         """Stored values off the parity |i| + |j|."""
@@ -307,47 +325,61 @@ def check_graded_skew(g: HomLieSuperalgebra) -> ValidationReport:
     return ValidationReport(g.table.skew_failures("graded-skew"))
 
 
-def _twisted_adjoint(packed_rows: list, twist_rows: list) -> list:
-    """adj[a][m] = sum_l T[l, a] * packed_rows[l][m] for the int twist rows
-    T[l] = ((a, T[l, a]), ...): with packed_rows the packed row index of a
-    bracket, adj[a][m] is the packed [theta(b_a), b_m].  Built from the
-    nonzero cells of the row index, one multiply-add per cell and twist
-    entry."""
+def _int_map(m: Matrix) -> tuple:
+    """(scale, rows, column bound, entry bound) of a map for the integer
+    kernels: its sparse rows ((a, x), ...) as ints scaled by the lcm of
+    their denominators (over F_p the residues as they are, scale 1), the
+    largest absolute column sum and the largest absolute entry of those."""
+    rows = m._sparse_rows
+    scale = 1
+    if m.field.p is None:
+        scale = lcm(*{x.denominator for row in rows for _, x in row})
+        rows = [[(a, x.numerator * (scale // x.denominator)) for a, x in row] for row in rows]
+    cols = [0] * m.ncols
+    entry = 0
+    for row in rows:
+        for a, x in row:
+            x = abs(x)
+            cols[a] += x
+            if x > entry:
+                entry = x
+    return scale, rows, max(cols, default=0), entry
+
+
+def _int_forms(*parts) -> list:
+    """The integer form of each table (`GradedBilinearTable._int_rows`) and
+    matrix (`_int_map`) among parts, for the integer kernels; an object
+    passed twice in a row is converted once."""
+    forms = []
+    for k, x in enumerate(parts):
+        if k and x is parts[k - 1]:
+            forms.append(forms[-1])
+        else:
+            forms.append(x._int_rows() if isinstance(x, GradedBilinearTable) else _int_map(x))
+    return forms
+
+
+def _packed_rows(rows: list, cells: tuple, slots: _Slots, factor: int = 1) -> list:
+    """The int rows of `GradedBilinearTable._int_rows` with every cell packed
+    once, times factor, and each entry's sign applied to the packed int."""
+    packed = {id(cell): slots.pack(cell.items()) * factor for cell in cells}
+    return [{j: s * packed[id(cell)] for j, (s, cell) in row.items()} for row in rows]
+
+
+def _twisted_adjoint(packed_rows: list, map_rows: list, ncols: int) -> list:
+    """adj[a][m] = sum_l A[l, a] * packed_rows[l][m] for the int rows
+    A[l] = ((a, A[l, a]), ...) of a map A with ncols columns: with
+    packed_rows the packed row index of a table t, adj[a][m] is the packed
+    t(A b_a, b_m).  Built from the nonzero cells of the row index, one
+    multiply-add per cell and map entry."""
     n = len(packed_rows)
-    adj = [[0] * n for _ in twist_rows]
-    for row, trow in zip(packed_rows, twist_rows):
-        for a, t in trow:
+    adj = [[0] * n for _ in range(ncols)]
+    for row, arow in zip(packed_rows, map_rows):
+        for a, t in arow:
             out = adj[a]
             for m, x in row.items():
                 out[m] += t * x
     return adj
-
-
-def _int_twist(twist: Matrix) -> tuple:
-    """(scale, rows, column bound): the sparse rows of the twist as ints
-    scaled by the lcm of its denominators, and the largest absolute column
-    sum of those ints."""
-    scale = _int_scale(x for row in twist._sparse_rows for _, x in row)
-    rows = [[(a, x.numerator * (scale // x.denominator)) for a, x in row]
-            for row in twist._sparse_rows]
-    cols = [0] * twist.ncols
-    for row in rows:
-        for a, x in row:
-            cols[a] += abs(x)
-    return scale, rows, max(cols, default=0)
-
-
-def _cell_bounds(cells: tuple) -> tuple:
-    """(largest absolute entry, largest absolute cell sum) of int cells."""
-    return (max((abs(v) for cell in cells for _, v in cell), default=0),
-            max((sum(abs(v) for _, v in cell) for cell in cells), default=0))
-
-
-def _packed_rows(rows: list, cells: tuple, slots: _Slots) -> list:
-    """The int rows of `GradedBilinearTable._int_rows` with every cell packed
-    once and each entry's sign applied to the packed int."""
-    packed = {id(cell): slots.pack(cell) for cell in cells}
-    return [{j: s * packed[id(cell)] for j, (s, cell) in row.items()} for row in rows]
 
 
 def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
@@ -356,18 +388,22 @@ def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
 
     The triple's sum is sgn * [theta(b_a), [b_b, b_c]] over its three
     cyclic terms; a triple whose inner brackets [b_j, b_k], [b_i, b_j] and
-    [b_k, b_i] all vanish is zero and skipped.  The rest is summed over
-    ints (see `_Slots`): the structure constants are scaled by L and the
-    twist by M, which scales every term by L^2 M, and [theta(b_a), b_m] is
-    one packed int, so each inner bracket entry costs one multiply-add."""
+    [b_k, b_i] all vanish is zero and skipped, so an algebra without
+    brackets passes at once.  The rest is summed over ints (see `_Slots`):
+    the structure constants are scaled by L and the twist by M, which
+    scales every term by L^2 M, and [theta(b_a), b_m] is one packed int,
+    so each inner bracket entry costs one multiply-add.  The slots hold
+    3 x (largest cell sum) x (largest twist column sum) x (largest entry)
+    of the scaled ints."""
+    if not g.table.cells:
+        return ValidationReport(())
     f = g.field
     d = g.dim
-    scale_b, rows, cells = g.table._int_rows()
-    scale_t, twist_rows, twist_bound = _int_twist(g.twist)
-    entry_bound, cell_bound = _cell_bounds(cells)
+    (scale_b, rows, cells, entry_bound, cell_bound), (scale_t, twist_rows, twist_bound, _) = \
+        _int_forms(g.table, g.twist)
     slots = _Slots(f, d, 3 * cell_bound * twist_bound * entry_bound,
                    scale_b * scale_b * scale_t)
-    adj = _twisted_adjoint(_packed_rows(rows, cells, slots), twist_rows)
+    adj = _twisted_adjoint(_packed_rows(rows, cells, slots), twist_rows, d)
     odd = [g.space.parity(t) == ODD for t in range(d)]
     is_zero = slots.is_zero
     fails = []
@@ -386,7 +422,7 @@ def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
                     sgn, cell = inner
                     out = adj[a]
                     term = 0
-                    for m, v in cell:
+                    for m, v in cell.items():
                         term += v * out[m]
                     total += -term if (sgn < 0) != (odd[a] and odd[c]) else term
                 if not is_zero(total):
@@ -400,14 +436,55 @@ def _preservation_failures(axiom: str, t1: GradedBilinearTable, t2: GradedBiline
     """Pairs i <= j breaking b(t1(b_i, b_j)) = t2(a b_i, a b_j): the maps
     a on the source and b on the target carry the table t1 to t2.  For
     even a and graded skew-symmetric tables the pair (j, i) holds exactly
-    when (i, j) does."""
+    when (i, j) does.  Both sides vanish when neither table has a cell.
+
+    The sides are summed over ints (see `_Slots`).  With t1, t2, a and b
+    scaled by s1, s2, sa and sb, the left side comes out scaled by s1 sb
+    and the right side by s2 sa^2; the packed columns of b carry the
+    factor s2 sa^2 and the packed cells of t2 the factor s1 sb, so both
+    sides are their values times s1 s2 sa^2 sb and one zero test compares
+    them.  The left side of (i, j) is sum_m t1(b_i, b_j)[m] (column m of
+    b), its entries at most (largest t1 cell sum) x (largest b entry) x
+    s2 sa^2 in absolute value; the right side is sum_m a[m, j] t2(a b_i,
+    b_m) from the packed t2(a b_i, b_m) built once per i, its entries at
+    most (largest a column sum)^2 x (largest t2 entry) x s1 sb.  The slots
+    hold the sum of the two bounds.  Only failing pairs are unpacked."""
+    if not t1.cells and not t2.cells:
+        return ()
+    (s1, rows1, _, _, sum1), (s2, rows2, cells2, entry2, _), (sa, arows, acol, _), \
+        (sb, brows, _, bentry) = _int_forms(t1, t2, a, b)
+    left, right = s2 * sa * sa, s1 * sb
+    slots = _Slots(t1.field, b.nrows, sum1 * bentry * left + acol * acol * entry2 * right,
+                   left * right)
+    w = slots.w
+    bcols = [0] * b.ncols
+    for r, row in enumerate(brows):
+        for m, x in row:
+            bcols[m] += (x * left) << (w * r)
+    d = a.ncols
+    adj = _twisted_adjoint(_packed_rows(rows2, cells2, slots, right), arows, d)
+    acols = [[] for _ in range(d)]
+    for l, row in enumerate(arows):
+        for j, x in row:
+            acols[j].append((l, x))
+    is_zero = slots.is_zero
     fails = []
-    for i in range(t1.source.dim):
-        for j in range(i, t1.source.dim):
-            lhs = b.matvec(t1.value(i, j))
-            rhs = t2.eval(a.col(i), a.col(j))
-            if lhs != rhs:
-                fails.append(Failure(axiom, (i, j), lhs, rhs))
+    for i in range(d):
+        row1, adj_i = rows1[i], adj[i]
+        for j in range(i, d):
+            rhs = 0
+            for m, x in acols[j]:
+                rhs += x * adj_i[m]
+            lhs = 0
+            entry = row1.get(j)
+            if entry is not None:
+                sgn, cell = entry
+                for m, v in cell.items():
+                    lhs += v * bcols[m]
+                if sgn < 0:
+                    lhs = -lhs
+            if not is_zero(lhs - rhs):
+                fails.append(Failure(axiom, (i, j), slots.unpack(lhs), slots.unpack(rhs)))
     return tuple(fails)
 
 

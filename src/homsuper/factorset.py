@@ -16,11 +16,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .core import (ODD, EvenLinearMap, Failure, GradedBilinearTable, GradedSubspace,
-                   HomLieSuperalgebra, SuperSpace, ValidationReport, _cell_bounds,
-                   _check_even_matrix, _int_twist, _once, _packed_rows,
-                   _preservation_failures, _sum_layout, _twisted_adjoint, center,
-                   check_multiplicative, check_regular, is_isomorphism, quotient,
-                   subalgebra_on)
+                   HomLieSuperalgebra, SuperSpace, ValidationReport, _check_even_matrix,
+                   _int_forms, _once, _packed_rows, _preservation_failures, _sum_layout,
+                   _twisted_adjoint, center, check_multiplicative, check_regular,
+                   is_isomorphism, quotient, subalgebra_on)
 from .errors import HomSuperError, PreconditionError
 from .linalg import Field, Matrix, _Slots, vec_sub
 
@@ -60,10 +59,13 @@ def validate_factor_set(fs: FactorSet) -> ValidationReport:
     on all ordered basis triples, by bilinear expansion.
 
     Both sides vanish on a triple whose brackets [n_i, n_j], [n_j, n_k]
-    and [n_i, n_k] all vanish, so only the other triples are expanded.  The
-    sides are summed over ints (see `_Slots`): quotient brackets scaled by
+    and [n_i, n_k] all vanish, and on every triple when r has no
+    coefficients, so only the other triples are expanded: none when the
+    quotient has no brackets or r no coefficients.  The sides are summed over ints (see `_Slots`): quotient brackets scaled by
     L, coefficients by R and the twist by M, which scales every term by
-    L R M; r(b_m, T b_k) and r(T b_k, b_m) are one packed int each.
+    L R M; r(b_m, T b_k) and r(T b_k, b_m) are one packed int each.  The
+    slots hold 3 x (largest bracket cell sum) x (largest twist column sum)
+    x (largest coefficient) of the scaled ints.
 
     With D(i, j, k) = lhs - rhs, D(j, i, k) = -(-1)^{|i||j|} D(i, j, k)
     whenever the quotient's brackets are graded skew-symmetric as stored,
@@ -76,18 +78,18 @@ def validate_factor_set(fs: FactorSet) -> ValidationReport:
     dq, dz = q.dim, fs.center_space.dim
     fails = list(fs.table.parity_failures("factor-parity")
                  + fs.table.skew_failures("factor-skew"))
-    scale_q, qrows, qcells = q.table._int_rows()
-    scale_r, rrows, rcells = fs.table._int_rows()
-    scale_t, twist_rows, twist_bound = _int_twist(q.twist)
-    slots = _Slots(f, dz, 3 * _cell_bounds(qcells)[1] * twist_bound * _cell_bounds(rcells)[0],
-                   scale_q * scale_r * scale_t)
+    if not q.table.cells or not fs.table.cells:
+        return ValidationReport(tuple(fails))
+    (scale_q, qrows, _, _, qsum), (scale_r, rrows, rcells, rentry, _), \
+        (scale_t, twist_rows, twist_bound, _) = _int_forms(q.table, fs.table, q.twist)
+    slots = _Slots(f, dz, 3 * qsum * twist_bound * rentry, scale_q * scale_r * scale_t)
     packed = _packed_rows(rrows, rcells, slots)
     transposed = [{} for _ in range(dq)]
     for m, row in enumerate(packed):
         for l, x in row.items():
             transposed[l][m] = x
-    left = _twisted_adjoint(transposed, twist_rows)   # r(b_m, T b_k)
-    right = _twisted_adjoint(packed, twist_rows)      # r(T b_k, b_m)
+    left = _twisted_adjoint(transposed, twist_rows, dq)   # r(b_m, T b_k)
+    right = _twisted_adjoint(packed, twist_rows, dq)      # r(T b_k, b_m)
     odd = [q.space.parity(i) == ODD for i in range(dq)]
 
     def expand(entry, table):
@@ -97,7 +99,7 @@ def validate_factor_set(fs: FactorSet) -> ValidationReport:
             return 0
         sgn, cell = entry
         total = 0
-        for m, v in cell:
+        for m, v in cell.items():
             total += v * table[m]
         return total if sgn > 0 else -total
 

@@ -8,40 +8,44 @@ denominator) or plain ints reduced to [0, p) (prime fields).  All values
 are immutable and all operations are pure, so they are safe to share.
 
 Kernel contract.  The scalar kernels (`Matrix.matvec`, `Matrix.__matmul__`,
-`Matrix.rref`, `Subspace.coordinates_of`, and `core.GradedBilinearTable.eval`,
-which the one bracket-preservation loop of `core` runs on) take canonical
-values: `Field.of` output, which is what every `Matrix`, `Subspace` and
-algebra holds.  They visit only nonzero entries, multiply and add with
-plain `*`, `+` and `-` instead of the `Field` methods, and reduce once per
-output entry: `% p` over F_p, nothing over Q, where `Fraction` arithmetic
-is already canonical.  An entry that receives no term is the field's zero.
-The results are the values, of the same types, that reducing after every
-operation would give.
+`Matrix.rref`, `Subspace.coordinates_of` and `core.GradedBilinearTable.eval`)
+take canonical values: `Field.of` output, which is what every `Matrix`,
+`Subspace` and algebra holds.  They visit only nonzero entries, multiply
+and add with plain `*`, `+` and `-` instead of the `Field` methods, and
+reduce once per output entry: `% p` over F_p, nothing over Q, where
+`Fraction` arithmetic is already canonical.  An entry that receives no
+term is the field's zero.  The results are the values, of the same types,
+that reducing after every operation would give.
 
-The two identity kernels, `core.check_hom_jacobi` and
-`factorset.validate_factor_set`, run on ints over both fields:
-  * scaling: over Q each call clears denominators once, multiplying the
-    bracket (or quotient-bracket and coefficient) cells by the lcm of
-    their denominators and the twist by its own.  Every term of either
-    identity has the same degree in each of these, so the scaled sum is
-    the true one times one known scale.  Over F_p the residues are taken
-    as ints and the scale is 1;
+The three integer kernels, `core.check_hom_jacobi`, the cocycle walk of
+`factorset.validate_factor_set` and `core._preservation_failures` (the
+bracket-preservation loop of `check_multiplicative`, `check_homomorphism`
+and `check_multiplicative_factor_set`, which no longer goes through
+`eval`), run on ints over both fields:
+  * setup: `core._int_forms` converts each table and map once per call, an
+    object passed twice once.  Over Q it clears denominators, multiplying
+    the cells of a table (or the entries of a map) by the lcm of their
+    denominators; every term of an identity has the same degree in each
+    of these scales, so the scaled sum is the true one times one known
+    scale.  Over F_p the residues are ints already and are used as they
+    are, with scale 1.  A kernel with no cells to sum returns at once;
   * packing (`_Slots`): a target-coordinate vector is one int, entry k in
-    the slot at bit w * k.  The tables [theta(b_a), b_m], or r(b_m, T b_k)
-    and r(T b_k, b_m), are built packed from the row index, so each inner
-    term of a triple is one big-int multiply-add;
+    the slot at bit w * k.  The tables [theta(b_a), b_m], r(b_m, T b_k)
+    and r(T b_k, b_m), or t2(a b_i, b_m) and the columns of b, are built
+    packed from the row index, so each inner term is one big-int
+    multiply-add;
   * slot width: each call bounds the absolute entries of any sum it tests
-    by 3 x (largest inner cell sum) x (largest twist column sum) x
-    (largest outer entry), all in scaled ints, and derives w from that
-    bound, so no slot carries into the next;
+    by products of the largest cell sums, column sums and entries of its
+    scaled ints (each kernel's docstring gives its bound), and derives w
+    from that bound, so no slot carries into the next;
   * zero test: over Q the packed sum is 0.  Over F_p every slot must
     vanish mod p; an offset that is a multiple of p makes the slots
     nonnegative, and one multiply, shift and mask by a constant yields all
     their quotients by p (see `_Slots`);
-  * records: a failing triple's sums are unpacked from the same slots,
-    each entry divided by the scale as a `Fraction` over Q or reduced
-    mod p over F_p, so a `Failure` holds the same values, of the same
-    types, as the scalar kernels would give.
+  * records: a failing triple's or pair's sums are unpacked from the same
+    slots, each entry divided by the scale as a `Fraction` over Q or
+    reduced mod p over F_p, so a `Failure` holds the same values, of the
+    same types, as the scalar kernels would give.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FormatError, PreconditionError
@@ -280,13 +283,6 @@ def _accumulate(acc: dict, terms: tuple, c):
             acc[k] += c * x
         else:
             acc[k] = c * x
-
-
-def _int_scale(values) -> int:
-    """The lcm of the denominators of canonical scalars: 1 over F_p, whose
-    residues are ints.  x.numerator * (scale // x.denominator) is then the
-    int x * scale in both fields."""
-    return lcm(*{x.denominator for x in values})
 
 
 class _Slots:
