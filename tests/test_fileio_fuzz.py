@@ -7,9 +7,17 @@ Inputs are the corpus algebra files, the factor sets that `factorset
 A mutation replaces, deletes or inserts one value anywhere in the JSON
 tree, or puts a nonzero entry off the parity blocks of theta or of a
 center twist.
+
+The whole-CLI fuzz runs `cli.main` in-process on such files with one
+value replaced by hostile JSON text: integer literals of thousands of
+digits, arrays and objects nested far past the recursion limit, exponent
+strings, NaN and Infinity, and values of the wrong type.  Every call must
+exit 0, 1, 2 or 3 (never 4, an internal error) and print no traceback.
 """
 
+import contextlib
 import copy
+import io
 import json
 import pathlib
 
@@ -17,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from homsuper import cli
 from homsuper.errors import FormatError, PreconditionError
 from homsuper.factorset import extend
 from homsuper.fileio import (algebra_from_dict, factorset_from_dict,
@@ -159,3 +168,64 @@ def test_crossing_entry_is_a_format_error(raw, read):
         with pytest.raises(FormatError,
                            match=rf"^{noun} must be parity-even: nonzero entry at \({i}, {j}\)$"):
             read(data)
+
+
+#: Raw JSON text put in place of one value of an input file.
+HOSTILE = (
+    "1" + "0" * 5000, "-" + "7" * 4301, '"' + "9" * 5000 + '"', '"1/' + "3" * 4400 + '"',
+    "[" * 100000 + "]" * 100000, '{"a": ' * 50000 + "1" + "}" * 50000,
+    "[" * 500 + '"1"' + "]" * 500,
+    '"1e5000"', '"1e-5000"', '"-2.5E+4301"', '"1e100000000"', '"1e4300"', '"3e2"', '"1e-3"',
+    "NaN", "Infinity", "-Infinity", "1e400", '"NaN"', '"inf"', "1.5", "-0.0",
+    "true", "false", "null", "{}", "[]", '""', '"x"', "-1", "0", "3", "100000", '"Fp:4"',
+)
+CLI_ALGEBRAS = ("a_1_1", "g22", "g22_f3", "hs", "hs2_f3", "t2")
+
+
+def cli_calls(kind, name, path):
+    """The argv lists run on one hostile file."""
+    if kind == "factorset":
+        return [["extend", path]]
+    if kind == "witness":
+        g1, g2 = (str(REPO_ROOT / "corpus" / f"{n}.json") for n in name)
+        return [["isoclinic", g1, g2, "--witness", path]]
+    dim = ALGEBRAS[name]["even_dim"] + ALGEBRAS[name]["odd_dim"]
+    other = str(REPO_ROOT / "corpus" / f"{name}.json")
+    return [["check", path], ["invariants", path], ["stem-decompose", path],
+            ["factorset", path], ["sum", path, other],
+            ["quotient", path, "--ideal", ",".join(["1"] + ["0"] * (dim - 1))],
+            ["iso-search", path, other, "--budget", "50"],
+            ["isoclinic", path, other, "--decide", "--budget", "50"]]
+
+
+@pytest.fixture(scope="module")
+def cli_workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_fuzz")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["algebra"] * 3 + ["factorset", "witness"]), st.data())
+def test_cli_survives_hostile_json(cli_workdir, kind, data):
+    if kind == "witness":
+        name = data.draw(st.sampled_from(sorted(WITNESSES)))
+        raw = json.loads((GOLDEN / "inputs" / WITNESSES[name]).read_text())
+    else:
+        name = data.draw(st.sampled_from(CLI_ALGEBRAS))
+        raw = copy.deepcopy(ALGEBRAS[name] if kind == "algebra" else FACTORSETS[name])
+    path = data.draw(st.sampled_from(list(paths(raw))))
+    if path:
+        at(raw, path[:-1])[path[-1]] = "<hostile>"
+        text = json.dumps(raw).replace('"<hostile>"', data.draw(st.sampled_from(HOSTILE)))
+    else:
+        text = data.draw(st.sampled_from(HOSTILE))
+    file = cli_workdir / "input.json"
+    file.write_text(text)
+    for argv in cli_calls(kind, name, str(file)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_FALSE, cli.EXIT_INPUT, cli.EXIT_INCONCLUSIVE), \
+            (argv, out.getvalue())
+        assert "Traceback" not in err.getvalue()
+        json.loads(out.getvalue())
