@@ -13,7 +13,10 @@ run that exits nonzero or reports "correct": false stops the script.
 The script prints, per workload and metric, each side's median and
 quartiles and the number of pairs the working tree won (ties count for
 neither side; `BENCHMARK.json` says which direction is better), plus the
-number of requests each run made.  With --trace 1 it adds each count and
+number of requests each run made and its wall time in seconds, `wall_s`
+(lower is better).  A run stops once its timed calls reach --seconds at
+reference speed, so a faster tree runs more blocks, and more untimed
+generation, loading and gating, in a longer wall time.  With --trace 1 it adds each count and
 time divided by that number, as `<metric>.per_request`.  With
 --probe it also runs `benchmarks/probe.py` once on each side.  The
 results are appended as entries to the output file, by default a new
@@ -32,6 +35,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,7 +63,9 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: i
     """Metric name -> value of one run of benchmarks/run.py in tree."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     report = json.loads(lines[-1]) if lines else {}
     if proc.returncode != 0 or not report.get("correct"):
@@ -72,7 +78,7 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: i
         for name in list(metrics):
             if name.endswith((".calls", "self_s", "total_s", ".candidates")):
                 metrics[f"{name}.per_request"] = metrics[name] / report["attempted"]
-    return {"requests": report["attempted"], **metrics}
+    return {"requests": report["attempted"], "wall_s": wall, **metrics}
 
 
 def run_probe(tree: Path, scratch: Path) -> dict:
@@ -93,9 +99,12 @@ def summary(values: list) -> dict:
 
 
 def directions() -> dict:
+    """Metric name -> (unit, better): those of BENCHMARK.json, and the wall
+    time of a run, which this script measures."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: (m["unit"], m["better"])
-            for m in spec["end_to_end"] + spec["per_layer"]}
+    return {"wall_s": ("s", "lower"),
+            **{m["name"]: (m["unit"], m["better"])
+               for m in spec["end_to_end"] + spec["per_layer"]}}
 
 
 def compare(workload: str, base: list, change: list) -> dict:
