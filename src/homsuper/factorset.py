@@ -59,9 +59,9 @@ def validate_factor_set(fs: FactorSet) -> ValidationReport:
     on all ordered basis triples, by bilinear expansion.
 
     Both sides vanish on a triple whose brackets [n_i, n_j], [n_j, n_k]
-    and [n_i, n_k] all vanish, and on every triple when r has no
-    coefficients, so only the other triples are expanded: none when the
-    quotient has no brackets or r no coefficients.  The sides are summed over ints (see `_Slots`): quotient brackets scaled by
+    and [n_i, n_k] all vanish, so only the other triples are expanded, and
+    none when the quotient has no brackets or r no coefficients.  The
+    sides are summed over ints (see `_Slots`): quotient brackets scaled by
     L, coefficients by R and the twist by M, which scales every term by
     L R M; r(b_m, T b_k) and r(T b_k, b_m) are one packed int each.  The
     slots hold 3 x (largest bracket cell sum) x (largest twist column sum)

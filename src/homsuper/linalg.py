@@ -22,13 +22,16 @@ The three integer kernels, `core.check_hom_jacobi`, the cocycle walk of
 bracket-preservation loop of `check_multiplicative`, `check_homomorphism`
 and `check_multiplicative_factor_set`, which no longer goes through
 `eval`), run on ints over both fields:
-  * setup: `core._int_forms` converts each table and map once per call, an
-    object passed twice once.  Over Q it clears denominators, multiplying
-    the cells of a table (or the entries of a map) by the lcm of their
-    denominators; every term of an identity has the same degree in each
-    of these scales, so the scaled sum is the true one times one known
-    scale.  Over F_p the residues are ints already and are used as they
-    are, with scale 1.  A kernel with no cells to sum returns at once;
+  * setup: `core._int_forms` converts each table and map once per call
+    (an object passed twice in a row once).  Over Q it clears
+    denominators, multiplying the cells of a table (or the entries of a
+    map) by the lcm of their denominators.  Every term of the Hom-Jacobi
+    or cocycle identity has the same degree in each of these scales, so
+    the scaled sum is the true one times one known scale; the two sides
+    of bracket preservation differ in degree, so each is also multiplied
+    by the scales that only the other carries.  Over F_p the residues
+    are ints already and are used as they are, with scale 1.  A kernel
+    with no cells to sum returns at once;
   * packing (`_Slots`): a target-coordinate vector is one int, entry k in
     the slot at bit w * k.  The tables [theta(b_a), b_m], r(b_m, T b_k)
     and r(T b_k, b_m), or t2(a b_i, b_m) and the columns of b, are built
@@ -287,7 +290,7 @@ def _accumulate(acc: dict, terms: tuple, c):
 
 class _Slots:
     """Integer vectors of length n packed into one int, entry k in the slot
-    at bit w * k, for the identity kernels of `core` and `factorset`.
+    at bit w * k, for the integer kernels of `core` and `factorset`.
 
     Packing is linear over the ints, so a kernel sums packed values with one
     big-int multiply-add per term.  Every vector it tests or unpacks must
