@@ -24,8 +24,9 @@ are read off valid algebras and then perturbed, or drawn at random over
 any generated quotient.  Homomorphisms are checked on random even maps
 between two such algebras over one field, square or not, singular or
 invertible, and on the transporting map of a transport, which is an
-isomorphism when the algebra has no injected cells.  The last tests use the shape the ladder workload
-of the benchmark runs over Q: signed-permutation transports of g22^(+)2.
+isomorphism when the algebra has no injected cells.  The last tests use
+the shape the ladder workload of the benchmark runs over Q:
+signed-permutation transports of g22^(+)2.
 """
 
 import random
@@ -100,14 +101,12 @@ def even_map_matrix(draw, field, source, target):
 
 def even_matrix(draw, field, p, q, invertible):
     """A random even matrix; with invertible, a random invertible one."""
-    d = p + q
-    rows = [[draw(scalars(field)) if (i < p) == (j < p) else 0 for j in range(d)]
-            for i in range(d)]
-    m = Matrix.from_rows(field, rows, d)
+    space = SuperSpace(p, q)
+    m = even_map_matrix(draw, field, space, space)
     if invertible and not m.is_invertible():
         rows = [[1 if i == j else (x if j < i else 0) for j, x in enumerate(r)]
-                for i, r in enumerate(rows)]
-        m = Matrix.from_rows(field, rows, d)
+                for i, r in enumerate(m.entries)]
+        m = Matrix.from_rows(field, rows, p + q)
     return m
 
 
