@@ -326,24 +326,26 @@ def check_graded_skew(g: HomLieSuperalgebra) -> ValidationReport:
 
 
 def _int_map(m: Matrix) -> tuple:
-    """(scale, rows, column bound, entry bound) of a map for the integer
-    kernels: its sparse rows ((a, x), ...) as ints scaled by the lcm of
+    """(scale, cols, column bound, entry bound) of a map for the integer
+    kernels: its sparse columns ((l, x), ...) as ints scaled by the lcm of
     their denominators (over F_p the residues as they are, scale 1), the
     largest absolute column sum and the largest absolute entry of those."""
-    rows = m._sparse_rows
+    cols = m._sparse_cols
     scale = 1
     if m.field.p is None:
-        scale = lcm(*{x.denominator for row in rows for _, x in row})
-        rows = [[(a, x.numerator * (scale // x.denominator)) for a, x in row] for row in rows]
-    cols = [0] * m.ncols
-    entry = 0
-    for row in rows:
-        for a, x in row:
+        scale = lcm(*{x.denominator for col in cols for _, x in col})
+        cols = [[(l, x.numerator * (scale // x.denominator)) for l, x in col] for col in cols]
+    col_bound = entry = 0
+    for col in cols:
+        col_sum = 0
+        for _, x in col:
             x = abs(x)
-            cols[a] += x
+            col_sum += x
             if x > entry:
                 entry = x
-    return scale, rows, max(cols, default=0), entry
+        if col_sum > col_bound:
+            col_bound = col_sum
+    return scale, cols, col_bound, entry
 
 
 def _int_forms(*parts) -> list:
@@ -366,19 +368,20 @@ def _packed_rows(rows: list, cells: tuple, slots: _Slots, factor: int = 1) -> li
     return [{j: s * packed[id(cell)] for j, (s, cell) in row.items()} for row in rows]
 
 
-def _twisted_adjoint(packed_rows: list, map_rows: list, ncols: int) -> list:
-    """adj[a][m] = sum_l A[l, a] * packed_rows[l][m] for the int rows
-    A[l] = ((a, A[l, a]), ...) of a map A with ncols columns: with
-    packed_rows the packed row index of a table t, adj[a][m] is the packed
-    t(A b_a, b_m).  Built from the nonzero cells of the row index, one
-    multiply-add per cell and map entry."""
+def _twisted_adjoint(packed_rows: list, map_cols: list) -> list:
+    """adj[a][m] = sum_l A[l, a] * packed_rows[l][m] for the int columns
+    A[:, a] = ((l, A[l, a]), ...) of a map A: with packed_rows the packed
+    row index of a table t, adj[a][m] is the packed t(A b_a, b_m).  Built
+    from the nonzero cells of the row index, one multiply-add per cell and
+    map entry."""
     n = len(packed_rows)
-    adj = [[0] * n for _ in range(ncols)]
-    for row, arow in zip(packed_rows, map_rows):
-        for a, t in arow:
-            out = adj[a]
-            for m, x in row.items():
+    adj = []
+    for col in map_cols:
+        out = [0] * n
+        for l, t in col:
+            for m, x in packed_rows[l].items():
                 out[m] += t * x
+        adj.append(out)
     return adj
 
 
@@ -399,11 +402,11 @@ def check_hom_jacobi(g: HomLieSuperalgebra) -> ValidationReport:
         return ValidationReport(())
     f = g.field
     d = g.dim
-    (scale_b, rows, cells, entry_bound, cell_bound), (scale_t, twist_rows, twist_bound, _) = \
+    (scale_b, rows, cells, entry_bound, cell_bound), (scale_t, twist_cols, twist_bound, _) = \
         _int_forms(g.table, g.twist)
     slots = _Slots(f, d, 3 * cell_bound * twist_bound * entry_bound,
                    scale_b * scale_b * scale_t)
-    adj = _twisted_adjoint(_packed_rows(rows, cells, slots), twist_rows, d)
+    adj = _twisted_adjoint(_packed_rows(rows, cells, slots), twist_cols)
     odd = [g.space.parity(t) == ODD for t in range(d)]
     is_zero = slots.is_zero
     fails = []
@@ -451,24 +454,16 @@ def _preservation_failures(axiom: str, t1: GradedBilinearTable, t2: GradedBiline
     hold the sum of the two bounds.  Only failing pairs are unpacked."""
     if not t1.cells and not t2.cells:
         return ()
-    (s1, rows1, _, _, sum1), (s2, rows2, cells2, entry2, _), (sa, arows, acol, _), \
-        (sb, brows, _, bentry) = _int_forms(t1, t2, a, b)
+    (s1, rows1, _, _, sum1), (s2, rows2, cells2, entry2, _), (sa, acols, acol, _), \
+        (sb, bcols, _, bentry) = _int_forms(t1, t2, a, b)
     left, right = s2 * sa * sa, s1 * sb
     slots = _Slots(t1.field, b.nrows, sum1 * bentry * left + acol * acol * entry2 * right,
                    left * right)
-    w = slots.w
-    bcols = [0] * b.ncols
-    for r, row in enumerate(brows):
-        for m, x in row:
-            bcols[m] += (x * left) << (w * r)
-    d = a.ncols
-    adj = _twisted_adjoint(_packed_rows(rows2, cells2, slots, right), arows, d)
-    acols = [[] for _ in range(d)]
-    for l, row in enumerate(arows):
-        for j, x in row:
-            acols[j].append((l, x))
+    packed_b = [slots.pack(col) * left for col in bcols]
+    adj = _twisted_adjoint(_packed_rows(rows2, cells2, slots, right), acols)
     is_zero = slots.is_zero
     fails = []
+    d = a.ncols
     for i in range(d):
         row1, adj_i = rows1[i], adj[i]
         for j in range(i, d):
@@ -480,7 +475,7 @@ def _preservation_failures(axiom: str, t1: GradedBilinearTable, t2: GradedBiline
             if entry is not None:
                 sgn, cell = entry
                 for m, v in cell.items():
-                    lhs += v * bcols[m]
+                    lhs += v * packed_b[m]
                 if sgn < 0:
                     lhs = -lhs
             if not is_zero(lhs - rhs):

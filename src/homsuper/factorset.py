@@ -81,15 +81,15 @@ def validate_factor_set(fs: FactorSet) -> ValidationReport:
     if not q.table.cells or not fs.table.cells:
         return ValidationReport(tuple(fails))
     (scale_q, qrows, _, _, qsum), (scale_r, rrows, rcells, rentry, _), \
-        (scale_t, twist_rows, twist_bound, _) = _int_forms(q.table, fs.table, q.twist)
+        (scale_t, twist_cols, twist_bound, _) = _int_forms(q.table, fs.table, q.twist)
     slots = _Slots(f, dz, 3 * qsum * twist_bound * rentry, scale_q * scale_r * scale_t)
     packed = _packed_rows(rrows, rcells, slots)
     transposed = [{} for _ in range(dq)]
     for m, row in enumerate(packed):
         for l, x in row.items():
             transposed[l][m] = x
-    left = _twisted_adjoint(transposed, twist_rows, dq)   # r(b_m, T b_k)
-    right = _twisted_adjoint(packed, twist_rows, dq)      # r(T b_k, b_m)
+    left = _twisted_adjoint(transposed, twist_cols)   # r(b_m, T b_k)
+    right = _twisted_adjoint(packed, twist_cols)      # r(T b_k, b_m)
     odd = [q.space.parity(i) == ODD for i in range(dq)]
 
     def expand(entry, table):
