@@ -329,23 +329,25 @@ def _int_map(m: Matrix) -> tuple:
     """(scale, cols, column bound, entry bound) of a map for the integer
     kernels: its sparse columns ((l, x), ...) as ints scaled by the lcm of
     their denominators (over F_p the residues as they are, scale 1), the
-    largest absolute column sum and the largest absolute entry of those."""
-    cols = m._sparse_cols
+    largest absolute column sum and the largest absolute entry of those.
+    The columns are read off the sparse rows, which the matrix keeps, so
+    that no transpose is kept on it."""
+    rows = m._sparse_rows
     scale = 1
     if m.field.p is None:
-        scale = lcm(*{x.denominator for col in cols for _, x in col})
-        cols = [[(l, x.numerator * (scale // x.denominator)) for l, x in col] for col in cols]
-    col_bound = entry = 0
-    for col in cols:
-        col_sum = 0
-        for _, x in col:
+        scale = lcm(*{x.denominator for row in rows for _, x in row})
+        rows = [[(a, x.numerator * (scale // x.denominator)) for a, x in row] for row in rows]
+    cols = [[] for _ in range(m.ncols)]
+    sums = [0] * m.ncols
+    entry = 0
+    for l, row in enumerate(rows):
+        for a, x in row:
+            cols[a].append((l, x))
             x = abs(x)
-            col_sum += x
+            sums[a] += x
             if x > entry:
                 entry = x
-        if col_sum > col_bound:
-            col_bound = col_sum
-    return scale, cols, col_bound, entry
+    return scale, cols, max(sums, default=0), entry
 
 
 def _int_forms(*parts) -> list:
