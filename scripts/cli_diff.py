@@ -23,6 +23,8 @@ agree:
     witnesses whose maps do not preserve brackets (one over F_3, one over
     Q whose derived map is doubled), so that failure lists count too, and
     stem-decompose on zc, whose greedy abelian part is not twist-invariant;
+  * isoclinic --decide on the twist-shift pair over Q and over F_3
+    (isoclinic, not isomorphic) and on zc against hs;
   * the top-level help and that of every subcommand, and the usage errors
     of no arguments, an unknown subcommand, every subcommand without its
     arguments and an unrecognized option.
@@ -59,6 +61,13 @@ INVALID = (("check", "inputs/jacobi_dense_q.json"), ("check", "inputs/jacobi_f3.
             "--witness", "inputs/witness_g22_f3_dense.json"),
            ("isoclinic", "inputs/g22_hs_dense_q.json", "inputs/g22_hs_dense_q.json",
             "--witness", "inputs/witness_g22_hs_dense_q_doubled.json"))
+#: isoclinic --decide on pairs of inputs under INPUTS: the twist-shift pair
+#: {x, y, z} with [x, y] = z, theta = id against theta(x) = x + z, over Q
+#: and F_3, and zc against hs.
+DECIDE = tuple(("isoclinic", a, b, "--decide") for a, b in (
+    ("inputs/twist_shift_id.json", "inputs/twist_shift.json"),
+    ("inputs/twist_shift_id_f3.json", "inputs/twist_shift_f3.json"),
+    ("inputs/zc.json", "corpus/hs.json")))
 SUBCOMMANDS = ("check", "invariants", "quotient", "sum", "factorset", "extend",
                "stem-decompose", "isoclinic", "iso-search")
 #: Help and usage calls: argparse prints these and exits.
@@ -90,7 +99,7 @@ def cases(corpus: Path) -> list:
             if da["field"] == db["field"]:
                 pair = [f"corpus/{a}.json", f"corpus/{b}.json"]
                 chains += [[["iso-search", *pair]], [["isoclinic", *pair, "--decide"]]]
-    chains += [[list(argv)] for argv in INVALID + USAGE]
+    chains += [[list(argv)] for argv in INVALID + DECIDE + USAGE]
     return chains
 
 

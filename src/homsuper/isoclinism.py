@@ -1,13 +1,15 @@
 """Isoclinism of regular Hom-Lie superalgebras.
 
 An isoclinism between two regular Hom-Lie superalgebras is a compatible
-pair of isomorphisms: one between the central quotients, one between the
-derived subalgebras, making the induced bracket square commute.  The
-module verifies witnesses, builds the witness induced by a homomorphism
-that is onto modulo the center, splits off a central abelian summand
-(stem decomposition), enumerates isomorphisms, and decides isoclinism
-through an isomorphism of stem parts, whose witness is induced by one
-homomorphism between the two algebras.
+pair of isomorphisms: one, mu, between the central quotients, one, nu,
+between the derived subalgebras, making the induced bracket square
+commute.  The module verifies witnesses, builds the witness induced by a
+homomorphism that is onto modulo the center, splits off a central abelian
+summand (stem decomposition), enumerates isomorphisms, and decides
+isoclinism by the definition: it searches the isomorphisms mu of the
+central quotients that carry every linear relation among lifted brackets
+of one algebra to the other, and for the first such mu the square forces
+nu (see `isoclinic_decide`).
 
 Witness matrices are always expressed over the deterministic bases:
 the greedy graded complement of the center for central quotients, and
@@ -345,7 +347,53 @@ def _equations(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra) -> list:
                     for k, v in cell.items():
                         _add_term(eqs.setdefault(k, ({}, {}))[1], key, -v if s > 0 else v)
             raw.extend(eqs.values())
-    mod = g1.field.p
+    return _terms(raw, g1.field.p)
+
+
+def _relation_equations(lifts1: list, g2: HomLieSuperalgebra, sect2: EvenLinearMap) -> list:
+    """The conditions on an even map X: Q1 -> Q2 of central quotients to
+    carry every linear relation among the lifted brackets of g1 to g2.
+
+    lifts1 holds (i, j, [s1 e_i, s1 e_j]) for the pairs i <= j of quotient
+    basis vectors e, s1 the section of g1, the pairs of equal even vectors
+    left out (their bracket vanishes on both sides).  For each relation
+    sum r_ij [s1 e_i, s1 e_j] = 0 in a basis of them, and each coordinate k
+    of g2, one equation sum r_ij [s2 X e_i, s2 X e_j][k] = 0, s2 = sect2
+    the section of g2.  It is quadratic in the entries x[a * n + i] of X:
+    [s2 X e_i, s2 X e_j] is the sum over a, b of x[a * n + i] x[b * n + j]
+    [s2 e_a, s2 e_b], a of the parity of i and b of that of j.  Terms are
+    merged as in `_equations`.
+    """
+    if not lifts1:
+        return []
+    rels = Matrix.from_columns(g2.field, [v for _, _, v in lifts1], len(lifts1[0][2])).nullspace()
+    if not rels.dim:
+        return []
+    n, par = sect2.source.dim, sect2.source.parity
+    cols = [sect2.matrix.col(a) for a in range(n)]
+    lifts2 = [[_sparse_vec(g2.bracket(ca, cb)) for cb in cols] for ca in cols]
+    raw = []
+    for r in rels.basis_rows():
+        eqs = {}
+        for (i, j, _), c in zip(lifts1, r):
+            if not c:
+                continue
+            for a in range(n):
+                if par(a) != par(i):
+                    continue
+                for b in range(n):
+                    if par(b) != par(j):
+                        continue
+                    key = (min(a * n + i, b * n + j), max(a * n + i, b * n + j))
+                    for k, v in lifts2[a][b]:
+                        _add_term(eqs.setdefault(k, {}), key, c * v)
+        raw.extend(({}, quad) for quad in eqs.values())
+    return _terms(raw, g2.field.p)
+
+
+def _terms(raw: list, mod: Optional[int]) -> list:
+    """(lin, quad) dicts of entry -> coefficient as tuples of terms, reduced
+    mod p over F_p, zero terms and empty equations dropped."""
     out = []
     for lin, quad in raw:
         if mod:
@@ -396,7 +444,8 @@ class _Search:
     the block's earlier rows makes the block singular and fails its node.
     """
 
-    def __init__(self, g1: HomLieSuperalgebra, g2: HomLieSuperalgebra, budget: int):
+    def __init__(self, g1: HomLieSuperalgebra, g2: HomLieSuperalgebra, budget: int,
+                 extra: list = ()):
         self.g1, self.g2, self.budget = g1, g2, budget
         self.field = g1.field
         self.mod = self.field.p
@@ -404,7 +453,7 @@ class _Search:
         self.d = g1.dim
         self.x = [self.field.zero] * (self.d * self.d)
         self.nodes = 0
-        self.equations = _equations(g1, g2)
+        self.equations = _equations(g1, g2) + list(extra)
 
     def tick(self):
         self.nodes += 1
@@ -586,22 +635,57 @@ def _grow_echelon(echelon: tuple, row: list, mod: int) -> Optional[tuple]:
 
 def isoclinic_decide(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
                      budget: int = DEFAULT_BUDGET):
-    """Decide whether g1 and g2 are isoclinic through their stem parts.
+    """Decide whether g1 and g2 are isoclinic, by searching for the
+    isomorphism mu of the central quotients Q1 -> Q2 that a witness needs.
 
     Returns (verdict, witness) with verdict one of "isoclinic",
-    "not-isoclinic", "inconclusive".  The isoclinic verdict carries the
-    witness induced by the homomorphism
-    g1 -> P1 (+) A1 -> P1 -> P2 -> P2 (+) A2 -> g2
-    through the stem decompositions (P the stem part, A the central abelian
-    summand) and a stem isomorphism P1 -> P2 found by `iso_search`.  It is
-    onto modulo the center, and its kernel, the copy of A1 in g1, misses
-    g1'.  The witness is re-verified before being returned.
+    "not-isoclinic", "inconclusive".
 
-    The negative verdict comes only from a fingerprint mismatch of the
-    stem parts.  When the fingerprints agree and the search finds no stem
-    isomorphism, even after examining every candidate, the verdict is
-    "inconclusive": isoclinic stems need not be isomorphic once their
-    twists differ by a central shift.  For example, x, y, z even with
+    Negatives before any search.  An isoclinism (mu, nu) has nu an
+    isomorphism g1' -> g2' that intertwines the twists, and mu an
+    isomorphism Q1 -> Q2 of Hom-Lie superalgebras.  So differing graded
+    dims of the derived algebras, differing `fingerprint`s of the quotient
+    algebras (isomorphism invariants), or differing characteristic
+    polynomials of the twists on the derived algebras each rule one out:
+    the verdict is "not-isoclinic".
+
+    The search.  Write s1, s2 for the sections of the central quotients and
+    e_i for the quotient basis.  The brackets [s1 e_i, s1 e_j], i <= j,
+    span g1', since the center drops out of every bracket.  The square of
+    an isoclinism forces nu([s1 e_i, s1 e_j]) = [s2 mu e_i, s2 mu e_j], so
+    every linear relation among the former holds among the latter.  The
+    search is `_Search` on the quotients, over the isomorphisms Q1 -> Q2 that
+    intertwine the induced twists, with those relations added to its
+    equations (`_relation_equations`).  The added equations are sound, as
+    just shown, and complete: once they hold, the formula above is a well
+    defined linear map nu on g1', and (mu, nu) is an isoclinism:
+    - nu is onto g2', which the brackets of the lifts s2 mu e_i span as mu
+      is onto, and so bijective, the graded dims being equal;
+    - by bilinearity nu([x, y]) = [x~, y~] for all x, y in g1, with x~ any
+      lift of mu(x + Z1): the centers drop out of both sides;
+    - coset compatibility: for n = sum r_ij [s1 e_i, s1 e_j] in g1',
+      mu(n + Z1) = sum r_ij [mu e_i, mu e_j] in Q2, as mu preserves the
+      quotient brackets, which is nu(n) + Z2;
+    - nu preserves brackets: for n, m in g1' the lifts of mu(n + Z1) and
+      mu(m + Z1) may be taken to be nu(n) and nu(m), so nu([n, m]) =
+      [nu(n), nu(m)];
+    - nu intertwines the twists: theta1 [x, y] = [theta1 x, theta1 y]
+      (multiplicativity), mu intertwines the induced twists, and theta2
+      of a lift of mu(x + Z1) lifts mu(theta1 x + Z1), as theta2 maps Z2
+      into itself (g2 is regular), so nu(theta1 [x, y]) = [theta2 x~,
+      theta2 y~] = theta2 nu([x, y]).
+    So the first leaf is a witness.  nu is read off one RREF of the rows
+    (coordinates of [s1 e_i, s1 e_j] in g1' | those of [s2 mu e_i, s2 mu
+    e_j] in g2'), and the witness is re-verified before it is returned.
+
+    Verdicts of the search.  Over a prime field the search walks every
+    even map, so an exhausted search proves that no isoclinism exists:
+    "not-isoclinic".  Over the rationals it walks a restricted family, so
+    an exhausted family proves nothing; that, and a spent budget, give
+    "inconclusive".  The budget counts search nodes as in `iso_search`.
+
+    Isoclinic algebras need not be isomorphic, nor need their stem parts
+    be once the twists differ by a central shift: x, y, z even with
     [x, y] = z, theta = id against theta(x) = x + z, are isoclinic by the
     identity maps, yet no isomorphism intertwines the two twists.
     """
@@ -609,22 +693,48 @@ def isoclinic_decide(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     _require_regular(g2, "second algebra")
     if g1.field != g2.field:
         raise PreconditionError("decision requires the same scalar field")
-    sd1 = stem_decompose(g1)
-    sd2 = stem_decompose(g2)
-    if fingerprint(sd1.stem_part) != fingerprint(sd2.stem_part):
+    q1, _, sect1 = central_quotient(g1)
+    q2, _, sect2 = central_quotient(g2)
+    d1alg, _ = derived_algebra(g1)
+    d2alg, _ = derived_algebra(g2)
+    if (d1alg.space.dims != d2alg.space.dims or fingerprint(q1) != fingerprint(q2)
+            or _twist_charpoly(d1alg) != _twist_charpoly(d2alg)):
         return "not-isoclinic", None
+    n, even = q1.dim, q1.space.even_dim
+    s1 = [sect1.matrix.col(i) for i in range(n)]
+    lifts1 = [(i, j, g1.bracket(s1[i], s1[j]))
+              for i in range(n) for j in range(i, n) if i != j or i >= even]
+    search = _Search(q1, q2, budget, _relation_equations(lifts1, g2, sect2))
+    prime = g1.field.p is not None
     try:
-        f_stem = iso_search(sd1.stem_part, sd2.stem_part, budget)
+        mu = next(search.prime_field() if prime else search.rationals(), None)
     except SearchInconclusive:
         return "inconclusive", None
-    if f_stem is None:
-        return "inconclusive", None
-    _, emb1, _ = direct_sum_with_embeddings(sd1.stem_part, sd1.abelian_part)
-    _, emb2, _ = direct_sum_with_embeddings(sd2.stem_part, sd2.abelian_part)
-    onto_stem1 = EvenLinearMap(emb1.target, emb1.source, emb1.matrix.transpose())
-    phi = sd2.iso.inverse().compose(emb2).compose(f_stem).compose(onto_stem1).compose(sd1.iso)
-    w = witness_from_surjection(phi, g1, g2)
-    rep = verify_isoclinism(g1, g2, w)
-    if not rep.passed:
+    if mu is None:
+        return ("not-isoclinic" if prime else "inconclusive"), None
+    w = IsoclinismWitness(mu, _forced_derived_map(g1, g2, lifts1, mu))
+    if not verify_isoclinism(g1, g2, w).passed:
         raise RuntimeError("isoclinism witness failed verification")
     return "isoclinic", w
+
+
+def _forced_derived_map(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra, lifts1: list,
+                        mu: EvenLinearMap) -> EvenLinearMap:
+    """The map nu: g1' -> g2' with nu([s1 e_i, s1 e_j]) = [s2 mu e_i,
+    s2 mu e_j] on the lifted brackets of `isoclinic_decide`, from one RREF
+    of the rows (coordinates on the left, images on the right); raises
+    RuntimeError when those rows are inconsistent."""
+    f = g1.field
+    d1, d2 = derived(g1), derived(g2)
+    d1alg, _ = derived_algebra(g1)
+    d2alg, _ = derived_algebra(g2)
+    _, _, sect2 = central_quotient(g2)
+    images = [sect2(mu.matrix.col(i)) for i in range(mu.matrix.ncols)]
+    m = d1.dim
+    rows = [d1.coordinates_of(v) + d2.coordinates_of(g2.bracket(images[i], images[j]))
+            for i, j, v in lifts1]
+    red, pivots = Matrix.from_rows(f, rows, m + d2.dim).rref()
+    if pivots != tuple(range(m)):
+        raise RuntimeError("the lifted brackets do not determine a derived map")
+    cols = [red.row(a)[m:] for a in range(m)]
+    return EvenLinearMap(d1alg.space, d2alg.space, Matrix.from_columns(f, cols, d2.dim))

@@ -15,9 +15,12 @@ fail the Jacobi identity (a dense transport over Q with one bracket value
 changed, so the failing sums are fractional, and one over F_3), two dense
 transports with their twist doubled, so that only multiplicativity fails
 (over F_3, and g22_hs_dense_q over Q, whose failing sums are fractional), a
-factor set that fails the cocycle identity, and zc, {z, c | f} with [f, f] = z
+factor set that fails the cocycle identity, zc, {z, c | f} with [f, f] = z
 and theta(c) = 2c + z, which stem-decompose refuses because its greedy
-abelian part span(c) is not twist-invariant.
+abelian part span(c) is not twist-invariant (decide against hs says
+isoclinic), and the twist-shift pair {x, y, z} with [x, y] = z, theta = id
+against theta(x) = x + z, over Q and F_3, which are isoclinic but not
+isomorphic.
 """
 
 import json

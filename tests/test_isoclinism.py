@@ -373,24 +373,23 @@ def test_decide_budget_exhaustion_is_inconclusive(algebras):
 
 
 @pytest.mark.parametrize("field", [F3, F5, QQ], ids=["F3", "F5", "Q"])
-def test_decide_twist_shift_pair_is_inconclusive(field):
+def test_decide_twist_shift_pair_is_isoclinic(field):
     """x, y, z even with [x, y] = z: theta = id against theta(x) = x + z.
 
-    The identity maps are an isoclinism, but every intertwiner E of the two
-    twists has a zero x-row, so no isomorphism exists and an exhausted
-    prime-field search proves only that.  The stem fingerprints agree, so
-    the verdict is inconclusive, never not-isoclinic."""
+    Every intertwiner E of the two twists has a zero x-row, so no
+    isomorphism exists, and none of the stem parts either.  The identity
+    maps are an isoclinism all the same, and the search over the central
+    quotients finds one: decide says isoclinic, with a verified witness."""
     space = SuperSpace(3, 0, ("x", "y", "z"))
     brackets = {(0, 1): {2: 1}}
     g1 = HomLieSuperalgebra(space, brackets, Matrix.identity(field, 3))
     g2 = HomLieSuperalgebra(space, brackets,
                             Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [1, 0, 1]], 3))
-    q1, _, _ = central_quotient(g1)
-    d1, _ = derived_algebra(g1)
-    w = IsoclinismWitness(EvenLinearMap.identity(field, q1.space),
-                          EvenLinearMap.identity(field, d1.space))
+    if field.p is not None:
+        assert iso_search(g1, g2) is None
+    verdict, w = isoclinic_decide(g1, g2)
+    assert verdict == "isoclinic"
     assert verify_isoclinism(g1, g2, w).passed
-    assert isoclinic_decide(g1, g2) == ("inconclusive", None)
 
 
 def test_decide_requires_matching_fields(algebras):

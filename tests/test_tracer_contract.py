@@ -5,7 +5,8 @@ dictionaries and wraps every public module function under a unique
 `<module>.<name>` label; moving a traced method or adding a public name
 that collides with a traced one breaks `benchmarks/run.py --trace 1`.
 This test loads spans.py as it is, installs its Tracer around one
-decision and checks that every reported metric is there.
+decision, one search and one stem decomposition, and checks that every
+reported metric is there.
 """
 
 import importlib.util
@@ -36,6 +37,9 @@ def test_tracer_reports_every_metric(algebras):
         tracer.on = True
         start = time.perf_counter()
         verdict, witness = isoclinism.isoclinic_decide(algebras["hs"], algebras["hs2"])
+        # decide meets neither the search nor the stem decomposition
+        isoclinism.iso_search(algebras["hs"], algebras["hs"])
+        isoclinism.stem_decompose(algebras["hs2"])
         elapsed = time.perf_counter() - start
         tracer.on = False
     finally:
