@@ -369,24 +369,23 @@ def _relation_equations(lifts1: list, g2: HomLieSuperalgebra, sect2: EvenLinearM
     rels = Matrix.from_columns(g2.field, [v for _, _, v in lifts1], len(lifts1[0][2])).nullspace()
     if not rels.dim:
         return []
-    n, par = sect2.source.dim, sect2.source.parity
+    n, even = sect2.source.dim, sect2.source.even_dim
     cols = [sect2.matrix.col(a) for a in range(n)]
     lifts2 = [[_sparse_vec(g2.bracket(ca, cb)) for cb in cols] for ca in cols]
+
+    def block(i):
+        return range(even) if i < even else range(even, n)
+
     raw = []
     for r in rels.basis_rows():
         eqs = {}
         for (i, j, _), c in zip(lifts1, r):
             if not c:
                 continue
-            for a in range(n):
-                if par(a) != par(i):
-                    continue
-                for b in range(n):
-                    if par(b) != par(j):
-                        continue
-                    key = (min(a * n + i, b * n + j), max(a * n + i, b * n + j))
-                    for k, v in lifts2[a][b]:
-                        _add_term(eqs.setdefault(k, {}), key, c * v)
+            for a, b in itertools.product(block(i), block(j)):
+                key = (min(a * n + i, b * n + j), max(a * n + i, b * n + j))
+                for k, v in lifts2[a][b]:
+                    _add_term(eqs.setdefault(k, {}), key, c * v)
         raw.extend(({}, quad) for quad in eqs.values())
     return _terms(raw, g2.field.p)
 

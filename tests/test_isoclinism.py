@@ -385,6 +385,11 @@ def test_decide_twist_shift_pair_is_isoclinic(field):
     g1 = HomLieSuperalgebra(space, brackets, Matrix.identity(field, 3))
     g2 = HomLieSuperalgebra(space, brackets,
                             Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [1, 0, 1]], 3))
+    q1, _, _ = central_quotient(g1)
+    d1, _ = derived_algebra(g1)
+    identity = IsoclinismWitness(EvenLinearMap.identity(field, q1.space),
+                                 EvenLinearMap.identity(field, d1.space))
+    assert verify_isoclinism(g1, g2, identity).passed
     if field.p is not None:
         assert iso_search(g1, g2) is None
     verdict, w = isoclinic_decide(g1, g2)
