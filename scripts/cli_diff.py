@@ -24,7 +24,9 @@ agree:
     Q whose derived map is doubled), so that failure lists count too, and
     stem-decompose on zc, whose greedy abelian part is not twist-invariant;
   * isoclinic --decide on the twist-shift pair over Q and over F_3
-    (isoclinic, not isomorphic) and on zc against hs;
+    (isoclinic, not isomorphic), on zc against hs, and on g22_hs_dense_q
+    against itself, whose center (1, 2/3, -4/3) is spanned by no
+    coordinate vector;
   * the top-level help and that of every subcommand, and the usage errors
     of no arguments, an unknown subcommand, every subcommand without its
     arguments and an unrecognized option.
@@ -63,11 +65,12 @@ INVALID = (("check", "inputs/jacobi_dense_q.json"), ("check", "inputs/jacobi_f3.
             "--witness", "inputs/witness_g22_hs_dense_q_doubled.json"))
 #: isoclinic --decide on pairs of inputs under INPUTS: the twist-shift pair
 #: {x, y, z} with [x, y] = z, theta = id against theta(x) = x + z, over Q
-#: and F_3, and zc against hs.
+#: and F_3, zc against hs, and g22_hs_dense_q against itself.
 DECIDE = tuple(("isoclinic", a, b, "--decide") for a, b in (
     ("inputs/twist_shift_id.json", "inputs/twist_shift.json"),
     ("inputs/twist_shift_id_f3.json", "inputs/twist_shift_f3.json"),
-    ("inputs/zc.json", "corpus/hs.json")))
+    ("inputs/zc.json", "corpus/hs.json"),
+    ("inputs/g22_hs_dense_q.json", "inputs/g22_hs_dense_q.json")))
 SUBCOMMANDS = ("check", "invariants", "quotient", "sum", "factorset", "extend",
                "stem-decompose", "isoclinic", "iso-search")
 #: Help and usage calls: argparse prints these and exits.

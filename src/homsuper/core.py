@@ -4,7 +4,8 @@ A Hom-Lie superalgebra is a Z2-graded space with a graded skew-symmetric
 bracket and an even linear twist map satisfying the twisted (Hom-)Jacobi
 identity.  This module holds the data model, the axiom validators, the
 structural invariants (center, derived subalgebra, stem property), and
-the quotient / direct-sum / homomorphism constructions.
+the quotient / direct-sum / homomorphism constructions, among them the
+quotient by the center that `isoclinism.central_quotient` memoises.
 
 Conventions used throughout the package:
   * basis indices 0..p-1 are even, p..p+q-1 are odd;
@@ -759,6 +760,66 @@ def quotient(g: HomLieSuperalgebra, k: GradedSubspace,
     proj = basis.inverse().submatrix(range(k.dim, g.dim), range(g.dim))
     qalg = _induced(g, w, proj.matvec)
     return qalg, EvenLinearMap(g.space, qalg.space, proj)
+
+
+def _central_quotient(g: HomLieSuperalgebra):
+    """The quotient by the center over its greedy graded complement, read
+    off the stored cells: (quotient algebra, projection, section), entry
+    for entry those of `quotient(g, center(g), reps=center(g).complement_in())`.
+    `isoclinism.central_quotient` memoises it, and its docstring gives the
+    argument."""
+    f = g.field
+    z = center(g)
+    d = g.dim
+    kept, dims, tails = [], [], {}     # C, its graded dims, t_i -> r_i on C
+    for sub, off in ((z.even, 0), (z.odd, g.space.even_dim)):
+        n = sub.ambient_dim
+        red, pivots = Matrix(f, sub.dim, n, tuple(r[::-1] for r in sub.basis.entries)).rref()
+        for row, pc in zip(red.entries, pivots):
+            tails[off + n - 1 - pc] = [(off + n - 1 - j, x)
+                                       for j, x in enumerate(row) if x and j != pc]
+        kept += [off + c for c in range(n) if off + c not in tails]
+        dims.append(n - sub.dim)
+    pos = {c: a for a, c in enumerate(kept)}
+    tails = {t: tuple((pos[c], x) for c, x in tail) for t, tail in tails.items()}
+    dq = len(kept)
+
+    def proj(terms) -> dict:
+        """proj(v) as raw sums, v given by its (index, value) terms."""
+        acc = {}
+        for k, x in terms:
+            a = pos.get(k)
+            if a is None:
+                _accumulate(acc, tails[k], -x)
+            else:
+                acc[a] = acc.get(a, 0) + x
+        return acc
+
+    images = [proj(col) for col in g.twist._sparse_cols]
+    for t, tail in tails.items():
+        acc = dict(images[t])
+        for a, x in tail:
+            _accumulate(acc, images[kept[a]].items(), x)
+        if any(_reduced_vec(f, dq, acc)):
+            raise PreconditionError("quotient: subspace is not a Hom-ideal")
+    twist = [_reduced_vec(f, dq, images[c]) for c in kept]
+    brackets = {}
+    for a in range(dq):
+        for b in range(a, dq):
+            cell = g.brackets.get((kept[a], kept[b]))
+            if cell:
+                brackets[(a, b)] = dict(enumerate(_reduced_vec(f, dq, proj(cell.items()))))
+    space = SuperSpace(*dims)
+    qalg = HomLieSuperalgebra(space, brackets, Matrix(f, dq, dq, tuple(zip(*twist))))
+    pm = [[f.zero] * d for _ in range(dq)]
+    sm = [[f.zero] * dq for _ in range(d)]
+    for a, c in enumerate(kept):
+        pm[a][c] = sm[c][a] = f.one
+    for t, tail in tails.items():
+        for a, x in tail:
+            pm[a][t] = f.neg(x)
+    return (qalg, EvenLinearMap(g.space, space, Matrix(f, dq, d, tuple(map(tuple, pm)))),
+            EvenLinearMap(space, g.space, Matrix(f, d, dq, tuple(map(tuple, sm)))))
 
 
 def _sum_layout(s1: SuperSpace, s2: SuperSpace) -> tuple:

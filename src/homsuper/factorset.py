@@ -16,10 +16,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .core import (ODD, EvenLinearMap, Failure, GradedBilinearTable, GradedSubspace,
-                   HomLieSuperalgebra, SuperSpace, ValidationReport, _check_even_matrix,
-                   _int_forms, _once, _packed_rows, _preservation_failures, _sum_layout,
-                   _twisted_adjoint, center, check_multiplicative, check_regular,
-                   is_isomorphism, quotient, subalgebra_on)
+                   HomLieSuperalgebra, SuperSpace, ValidationReport, _central_quotient,
+                   _check_even_matrix, _int_forms, _once, _packed_rows,
+                   _preservation_failures, _sum_layout, _twisted_adjoint, center,
+                   check_multiplicative, check_regular, is_isomorphism, quotient,
+                   subalgebra_on)
 from .errors import HomSuperError, PreconditionError
 from .linalg import Field, Matrix, _Slots, vec_sub
 
@@ -207,22 +208,26 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
         raise PreconditionError("algebra is not regular")
     f = g.field
     z = center(g)
-    if w is None:
+    supplied = w is not None
+    if not supplied:
         w = z.complement_in()
-    else:
-        if w.field != f or w.ambient_dims != g.space.dims or z.intersect(w).dim != 0 \
-                or z.dim + w.dim != g.dim:
-            raise PreconditionError("supplied subspace is not a complement of the center")
-    for v in w.full_basis_vectors():
+    elif w.field != f or w.ambient_dims != g.space.dims or z.intersect(w).dim != 0 \
+            or z.dim + w.dim != g.dim:
+        raise PreconditionError("supplied subspace is not a complement of the center")
+    reps = w.full_basis_vectors()
+    for v in reps:
         tv = g.theta(v)
         if not w.contains_vector(tv):
             raise PreconditionError(
                 "twist does not preserve the complement; witness vector "
                 + str([f.fmt(x) for x in tv]))
-    qalg, proj = quotient(g, z, reps=w)
-    reps = w.full_basis_vectors()
-    sect = EvenLinearMap(qalg.space, g.space, Matrix.from_columns(f, reps, g.dim))
-    # theta(Z) lies in Z: [theta(z), y] = theta([z, theta^-1(y)]) = 0
+    # theta(Z) lies in Z: [theta(z), y] = theta([z, theta^-1(y)]) = 0, so
+    # neither quotient construction can fail its Hom-ideal check
+    if supplied:
+        qalg, _ = quotient(g, z, reps=w)
+        sect = EvenLinearMap(qalg.space, g.space, Matrix.from_columns(f, reps, g.dim))
+    else:
+        qalg, _, sect = _central_quotient(g)
     zalg, zincl = subalgebra_on(g, z)
     coeffs = {}
     for a in range(qalg.dim):

@@ -10,7 +10,9 @@ through SystemExit.  A case marked "artifact" is also run with
 cases read those files, so each --output is fed back into the next
 command.  Hand-written inputs live in inputs/: witness files (one over F_3
 whose maps fail to preserve brackets, and one whose derived map is doubled
-on g22_hs_dense_q, a dense transport of g22 + hs over Q), two algebras that
+on g22_hs_dense_q, a dense transport of g22 + hs over Q, whose center
+(1, 2/3, -4/3) is spanned by no coordinate vector and whose reflexive
+decide is pinned too), two algebras that
 fail the Jacobi identity (a dense transport over Q with one bracket value
 changed, so the failing sums are fractional, and one over F_3), two dense
 transports with their twist doubled, so that only multiplicativity fails
