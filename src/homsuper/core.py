@@ -518,9 +518,11 @@ class GradedSubspace:
     """A parity-homogeneous subspace, stored as its even and odd parts.
 
     The even part lives in the even coordinate block (ambient even_dim),
-    the odd part in the odd block; both bases are in RREF.  Membership,
-    coordinates and complements are answered block by block, so no
-    question about the subspace needs a full-space RREF.
+    the odd part in the odd block; both bases are in RREF.  They are the
+    even and odd rows of the full-space RREF basis cut to their blocks,
+    so `from_subspace` reads them off without a new reduction.
+    Membership, coordinates and complements are answered block by block,
+    so no question about the subspace needs a full-space RREF.
     """
 
     even: Subspace
@@ -555,25 +557,30 @@ class GradedSubspace:
 
     @staticmethod
     def from_subspace(space: SuperSpace, sub: Subspace) -> "GradedSubspace":
-        """Split a full-space subspace into parity parts; fails when the
-        subspace is not graded.
+        """Split a full-space subspace into parity parts by splitting its
+        RREF rows; fails when the subspace is not graded.
 
-        The kernel of the even projection on S is S∩V1 and that of the odd
-        projection is S∩V0, so dim proj0(S) + dim proj1(S) = 2·dim S −
-        dim(S∩V0) − dim(S∩V1), and proj0(S) ⊇ S∩V0, proj1(S) ⊇ S∩V1.
-        Hence S is graded iff the projections' dims add up to dim S, and
-        then the projections are its parts.
+        Let S = S0 ⊕ S1 be graded, even coordinates first.  Its RREF rows
+        with a pivot in the odd block span S ∩ V1 = S1 and vanish on the
+        even block.  A row with an even pivot has its odd part in S1, and
+        that part vanishes at every odd pivot, so it is 0.  Hence a graded
+        S has only pure rows, already in RREF within each block; a mixed
+        row means S is not graded, and pure rows clearly mean it is.
         """
         if sub.ambient_dim != space.dim:
             raise ValueError("subspaces live in different ambient spaces")
         f = sub.field
-        p = space.even_dim
-        rows = sub.basis_rows()
-        even = Subspace.from_vectors(f, p, [row[:p] for row in rows])
-        odd = Subspace.from_vectors(f, space.odd_dim, [row[p:] for row in rows])
-        if even.dim + odd.dim != sub.dim:
-            raise ValueError("subspace is not graded")
-        return GradedSubspace(even, odd)
+        p, q = space.dims
+        evens, odds = [], []
+        for row in sub.basis.entries:
+            if vec_is_zero(row[p:]):
+                evens.append(row[:p])
+            elif vec_is_zero(row[:p]):
+                odds.append(row[p:])
+            else:
+                raise ValueError("subspace is not graded")
+        return GradedSubspace(Subspace(p, Matrix(f, len(evens), p, tuple(evens))),
+                              Subspace(q, Matrix(f, len(odds), q, tuple(odds))))
 
     @property
     def field(self) -> Field:
@@ -767,7 +774,8 @@ def _central_quotient(g: HomLieSuperalgebra):
     off the stored cells: (quotient algebra, projection, section), entry
     for entry those of `quotient(g, center(g), reps=center(g).complement_in())`.
     `isoclinism.central_quotient` memoises it, and its docstring gives the
-    argument."""
+    argument; `Matrix.nullspace` rests on the same fact about the RREF with
+    the columns reversed."""
     f = g.field
     z = center(g)
     d = g.dim

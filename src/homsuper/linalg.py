@@ -508,18 +508,29 @@ class Matrix:
         return len(self.rref()[1])
 
     def nullspace(self) -> "Subspace":
-        """The kernel {x : self @ x = 0}, dimension ncols - rank."""
-        f = self.field
-        red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
+        """The kernel {x : self @ x = 0}, dimension ncols - rank, read in
+        RREF off one RREF of self with its columns reversed.
+
+        Row r of that RREF has its entries only at and after its pivot pc.
+        So the kernel vector of a free reversed column rc (1 there, the
+        negated reduced entries at the pivots) is nonzero only at original
+        column n-1-rc, where it is 1, and at original pivot columns
+        n-1-pc > n-1-rc.  Its leading 1 sits at its own free column and it
+        vanishes at every other free column, so these vectors, listed by
+        increasing original free column, are the kernel's unique RREF."""
+        f, n = self.field, self.ncols
+        red, pivots = Matrix(f, self.nrows, n, tuple(r[::-1] for r in self.entries)).rref()
+        taken = set(pivots)
         basis = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(red[r, fc])
-            basis.append(v)
-        return Subspace.from_vectors(f, self.ncols, basis)
+        for rc in reversed(range(n)):
+            if rc in taken:
+                continue
+            v = [f.zero] * n
+            v[n - 1 - rc] = f.one
+            for row, pc in zip(red.entries, pivots):
+                v[n - 1 - pc] = f.neg(row[rc])
+            basis.append(tuple(v))
+        return Subspace(n, Matrix(f, len(basis), n, tuple(basis)))
 
     def solve(self, b: Sequence) -> Optional[tuple]:
         """One solution of self @ x = b, free variables set to zero;

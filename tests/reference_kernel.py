@@ -1,8 +1,12 @@
 """Reference implementations of kernel routines, kept as oracles.
 
-`reference_from_subspace` splits a subspace into parity parts by
-intersecting it with the even and odd coordinate blocks;
-`reference_field_of` coerces every scalar afresh, canonical or not.
+`reference_nullspace` takes the kernel as the parent construction did:
+one vector per free column of `reference_rref`, then a second RREF of
+those vectors through `reference_from_vectors`.  `reference_from_subspace`
+splits a subspace into parity parts by intersecting it with the even and
+odd coordinate blocks, each intersection the kernel of the stacked bases
+through `reference_nullspace`; `reference_field_of` coerces every scalar
+afresh, canonical or not.  `Matrix.nullspace`,
 `GradedSubspace.from_subspace` and `Field.of` in `homsuper` must give
 equal results, of the same type, and raise the same errors.
 
@@ -11,8 +15,11 @@ through `GradedBilinearTable.cell` on every coordinate pair and check the
 axioms on every basis pair and triple, without the table's row index:
 `reference_eval`, `reference_skew_failures`, `reference_check_hom_jacobi`,
 `reference_validate_factor_set`, `reference_center` and
-`reference_derived`.  The sparse versions in `homsuper` must give the same
-failure tuples, entry types included, and the same subspaces.
+`reference_derived`.  The last two end in `reference_nullspace` and
+`reference_from_subspace`, so they touch neither the library's kernel
+(`Matrix.nullspace`) nor its split (`GradedSubspace.from_subspace`).  The
+sparse versions in `homsuper` must give the same failure tuples, entry
+types included, and the same subspaces.
 `reference_preservation_failures` checks bracket preservation pair by
 pair through `reference_matvec` and `reference_eval`, and
 `reference_check_homomorphism` adds the twist intertwining through
@@ -56,20 +63,48 @@ def vec_add(field: Field, a, b) -> tuple:
 def reference_from_subspace(space: SuperSpace, sub: Subspace) -> GradedSubspace:
     """Split a full-space subspace into parity parts; fails when the
     subspace is not graded."""
+    if sub.ambient_dim != space.dim:
+        raise ValueError("subspaces live in different ambient spaces")
     f = sub.field
     p, q = space.dims
-    even_block = Subspace.from_vectors(f, space.dim,
-                                       [basis_vec(f, space.dim, i) for i in range(p)])
-    odd_block = Subspace.from_vectors(f, space.dim,
-                                      [basis_vec(f, space.dim, p + i) for i in range(q)])
-    e_full = sub.intersect(even_block)
-    o_full = sub.intersect(odd_block)
+    even_block = [basis_vec(f, space.dim, i) for i in range(p)]
+    odd_block = [basis_vec(f, space.dim, p + i) for i in range(q)]
+    e_full = reference_intersect(sub, reference_from_vectors(f, space.dim, even_block))
+    o_full = reference_intersect(sub, reference_from_vectors(f, space.dim, odd_block))
     if e_full.dim + o_full.dim != sub.dim:
         raise ValueError("subspace is not graded")
     evens = [row[:p] for row in e_full.basis_rows()]
     odds = [row[p:] for row in o_full.basis_rows()]
-    return GradedSubspace(Subspace.from_vectors(f, p, evens),
-                          Subspace.from_vectors(f, q, odds))
+    return GradedSubspace(reference_from_vectors(f, p, evens),
+                          reference_from_vectors(f, q, odds))
+
+
+def reference_nullspace(matrix: Matrix) -> Subspace:
+    """The kernel: per free column of the RREF, the vector with 1 there and
+    the negated reduced entries at the pivots; then the RREF of those."""
+    f = matrix.field
+    red, pivots = reference_rref(matrix)
+    basis = []
+    for fc in range(matrix.ncols):
+        if fc in pivots:
+            continue
+        v = [f.zero] * matrix.ncols
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(red[r, fc])
+        basis.append(v)
+    return reference_from_vectors(f, matrix.ncols, basis)
+
+
+def reference_intersect(u: Subspace, w: Subspace) -> Subspace:
+    """u ∩ w: x U + y W = 0 for the basis matrices U and W puts x U in both
+    subspaces, and every common vector arises so."""
+    f = u.field
+    if u.dim == 0 or w.dim == 0:
+        return Subspace.zero(f, u.ambient_dim)
+    ker = reference_nullspace(u.basis.vstack(w.basis).transpose()).basis
+    xs = ker.submatrix(range(ker.nrows), range(u.dim))
+    return reference_from_vectors(f, u.ambient_dim, reference_matmul(xs, u.basis).entries)
 
 
 def reference_field_of(field: Field, x):
@@ -218,14 +253,14 @@ def reference_center(g) -> GradedSubspace:
         for k in range(d):
             rows.append([cols[i][k] for i in range(d)])
     m = Matrix.from_rows(f, rows, d)
-    return GradedSubspace.from_subspace(g.space, m.nullspace())
+    return reference_from_subspace(g.space, reference_nullspace(m))
 
 
 def reference_derived(g) -> GradedSubspace:
     """Span of the brackets of all basis pairs i <= j, split by parity."""
     vecs = [g.basis_bracket(i, j) for i in range(g.dim) for j in range(i, g.dim)]
-    sub = Subspace.from_vectors(g.field, g.dim, vecs)
-    return GradedSubspace.from_subspace(g.space, sub)
+    sub = reference_from_vectors(g.field, g.dim, vecs)
+    return reference_from_subspace(g.space, sub)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Kernel routines against independent oracles.
 
-`GradedSubspace.from_subspace` (split by projection) and `Field.of`
-(canonical values pass through) are compared with the reference versions
-in reference_kernel.py; `GradedSubspace.coordinates_of` (block by block)
-with the coordinates over the full-space `to_subspace()`;
-`Matrix.rref` and `Matrix.nullspace` over Q are compared with sympy.  Equality of field elements is checked together with
-their type, since Fraction(1) == 1.
+`GradedSubspace.from_subspace` (split of the RREF rows), `Matrix.nullspace`
+(one RREF with the columns reversed) and `Field.of` (canonical values pass
+through) are compared with the reference versions in reference_kernel.py;
+`GradedSubspace.coordinates_of` (block by block) with the coordinates over
+the full-space `to_subspace()`; `Matrix.rref` and `Matrix.nullspace` over
+Q are compared with sympy.  Equality of field elements is checked together
+with their type, since Fraction(1) == 1.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_kernel import reference_field_of, reference_from_subspace, vec_add
+from reference_kernel import (reference_field_of, reference_from_subspace,
+                              reference_nullspace, vec_add)
 
 from homsuper.core import GradedSubspace, SuperSpace
-from homsuper.linalg import GF, QQ, Matrix, Subspace, vec_scale
+from homsuper.linalg import GF, QQ, Matrix, Subspace, vec_is_zero, vec_scale
 
 FIELDS = (QQ, GF(3), GF(5))
 
@@ -223,3 +226,39 @@ def test_nullspace_matches_sympy(rows):
     assert ker.dim == len(s_ker) == m.ncols - m.rank()
     for v in ker.basis_rows():
         assert all(x == 0 for x in m.matvec(v))
+
+
+# ---------------------------------------------------------------------------
+# nullspace against the two-RREF reference
+
+def random_matrix(field, rng):
+    """Up to 6 x 7, a random share of the entries nonzero."""
+    r, c, density = rng.randint(0, 6), rng.randint(0, 7), rng.random()
+
+    def entry():
+        if rng.random() > density:
+            return 0
+        if field.p is None:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randrange(field.p)
+
+    return Matrix.from_rows(field, [[entry() for _ in range(c)] for _ in range(r)], c)
+
+
+def edge_matrices(field):
+    """No rows, no columns, zero matrices and full column rank."""
+    yield from (Matrix.zero(field, r, c) for r, c in ((0, 0), (0, 4), (3, 0), (3, 4)))
+    yield Matrix.identity(field, 4)
+    yield Matrix.from_rows(field, [[1, 0, 0], [2, 1, 0], [0, 2, 1], [1, 1, 1]], 3)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_nullspace_matches_reference(field):
+    rng = random.Random(FIELDS.index(field))
+    for m in [*edge_matrices(field), *(random_matrix(field, rng) for _ in range(400))]:
+        ker = m.nullspace()
+        expected = reference_nullspace(m)
+        assert ker == expected and repr(ker) == repr(expected)
+        assert ker.dim == m.ncols - m.rank()
+        for v in ker.basis_rows():
+            assert vec_is_zero(m.matvec(v))
