@@ -508,8 +508,8 @@ class Matrix:
         return len(self.rref()[1])
 
     def nullspace(self) -> "Subspace":
-        """The kernel {x : self @ x = 0}, dimension ncols - rank, read in
-        RREF off one RREF of self with its columns reversed.
+        """The kernel {x : self @ x = 0}, dimension ncols - rank, its RREF
+        basis read off one RREF of self with the columns reversed.
 
         Row r of that RREF has its entries only at and after its pivot pc.
         So the kernel vector of a free reversed column rc (1 there, the

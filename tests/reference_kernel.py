@@ -1,8 +1,8 @@
 """Reference implementations of kernel routines, kept as oracles.
 
-`reference_nullspace` takes the kernel as the parent construction did:
-one vector per free column of `reference_rref`, then a second RREF of
-those vectors through `reference_from_vectors`.  `reference_from_subspace`
+`reference_nullspace` takes the kernel in two reductions: one vector per
+free column of `reference_rref`, then a second RREF of those vectors
+through `reference_from_vectors`.  `reference_from_subspace`
 splits a subspace into parity parts by intersecting it with the even and
 odd coordinate blocks, each intersection the kernel of the stacked bases
 through `reference_nullspace`; `reference_field_of` coerces every scalar
