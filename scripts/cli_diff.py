@@ -29,7 +29,9 @@ agree:
     coordinate vector;
   * the top-level help and that of every subcommand, and the usage errors
     of no arguments, an unknown subcommand, every subcommand without its
-    arguments and an unrecognized option.
+    arguments, an unrecognized option, isoclinic with both of --witness
+    and --decide and with neither, and invariants given the subcommand
+    name check as its file.
 
 The calls run with COLUMNS=80, since argparse wraps help and usage to the
 terminal width.  Every call whose exit code, stdout, stderr or --output
@@ -75,6 +77,9 @@ SUBCOMMANDS = ("check", "invariants", "quotient", "sum", "factorset", "extend",
                "stem-decompose", "isoclinic", "iso-search")
 #: Help and usage calls: argparse prints these and exits.
 USAGE = ((), ("--help",), ("nope",), ("check", "corpus/g22.json", "--bogus"),
+         ("isoclinic", "corpus/g22.json", "corpus/g22.json",
+          "--witness", "inputs/witness_g22_g22.json", "--decide"),
+         ("isoclinic", "corpus/g22.json", "corpus/g22.json"), ("invariants", "check"),
          *((name, "--help") for name in SUBCOMMANDS), *((name,) for name in SUBCOMMANDS))
 
 

@@ -13,9 +13,15 @@ their arguments:
   isoclinic        verify a witness file or decide isoclinism
   iso-search       search for a twist-intertwining isomorphism
 
+Each call builds a subcommand parser only for the names in argv, the only
+ones argparse can dispatch to; the others keep their name and help line,
+from which argparse formats the top-level help and usage, so those bytes
+are the same as with every parser built.
+
 Exit codes: 0 success/true, 1 checked-false or failed precondition,
 2 input error (every command but check also rejects an algebra file that
-fails the axioms, and extend a factor-set file whose quotient does),
+fails the axioms, and extend a factor-set file whose quotient does, and
+--output rejects a path that cannot be written),
 3 inconclusive, 4 internal error (a constructed object
 failed re-validation, or an input the checks let through broke a
 construction).  Reports are byte-deterministic JSON
@@ -55,9 +61,10 @@ def main(argv=None) -> int:
     of the error it raised, is emitted under the one command echo."""
     argv = sys.argv[1:] if argv is None else argv
     args = _parser(argv).parse_args(argv)
-    artifact = None
     try:
         code, report, artifact = args.handler(args)
+        if args.output and artifact is not None:
+            save_json(args.output, artifact)
     except FormatError as exc:
         code, report = EXIT_INPUT, {"error": str(exc)}
     except PreconditionError as exc:
@@ -67,8 +74,6 @@ def main(argv=None) -> int:
     except (HomSuperError, RuntimeError) as exc:
         code, report = EXIT_INTERNAL, {"error": str(exc)}
     _emit(args, {"command": _echo(args), **report})
-    if args.output and artifact is not None:
-        save_json(args.output, artifact)
     return code
 
 
@@ -100,15 +105,22 @@ _COMMANDS = (
 
 
 def _parser(argv) -> argparse.ArgumentParser:
-    """Only the subcommands named in argv get their arguments: argparse runs
-    one of those, and the top-level help and usage show names and helps."""
+    """Only the subcommands named in argv get a parser; the others get None
+    and keep only the name and help line that add_parser records.  argparse
+    dispatches only to a name in argv and formats the top-level help and
+    usage from those names and help lines, so no help or usage byte
+    changes.  add_parser calls the factory with prog="homsuper <name>"."""
     top = argparse.ArgumentParser(
         prog="homsuper",
         description="Exact computations with finite-dimensional Hom-Lie superalgebras")
-    sub = top.add_subparsers(dest="subcommand", required=True)
+
+    def subparser(prog, **kwargs):
+        return argparse.ArgumentParser(prog=prog, **kwargs) if prog.split()[-1] in argv else None
+
+    sub = top.add_subparsers(dest="subcommand", required=True, parser_class=subparser)
     for name, help_, handler, positionals, group, options in _COMMANDS:
         p = sub.add_parser(name, help=help_)
-        if name not in argv:
+        if p is None:
             continue
         for positional in positionals:
             p.add_argument(positional)

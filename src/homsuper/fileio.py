@@ -293,5 +293,8 @@ def dumps_canonical(obj) -> str:
 
 
 def save_json(path: str, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps_canonical(obj))
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None

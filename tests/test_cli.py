@@ -22,7 +22,10 @@ and theta(c) = 2c + z, which stem-decompose refuses because its greedy
 abelian part span(c) is not twist-invariant (decide against hs says
 isoclinic), and the twist-shift pair {x, y, z} with [x, y] = z, theta = id
 against theta(x) = x + z, over Q and F_3, which are isoclinic but not
-isomorphic.
+isomorphic.  The help of the hyphenated subcommands, the isoclinic errors
+for both and neither of --witness and --decide, and invariants given the
+subcommand name check as its file pin the bytes that must not change when
+only the dispatched subcommand's parser is built.
 """
 
 import json
@@ -312,3 +315,65 @@ def test_huge_report_values_print_in_full(tmp_path, capsys):
     assert code == cli.EXIT_FALSE
     failure, = json.loads(out)["checks"]["multiplicative"]["failures"]
     assert (failure["lhs"], failure["rhs"]) == (["1" + "0" * 2500, "0"], ["1" + "0" * 5000, "0"])
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_is_an_input_error(target, tmp_path, monkeypatch, capsys):
+    """An --output path that cannot be written is bad input (exit 2): the
+    report is the error alone, with no success report before it and no
+    traceback after it."""
+    monkeypatch.chdir(REPO_ROOT)
+    out = str(tmp_path / "missing" / "x.json") if target == "missing" else str(tmp_path)
+    code, stdout = run(["factorset", "corpus/g22.json", "--output", out], capsys)
+    assert code == cli.EXIT_INPUT
+    report = json.loads(stdout)
+    assert report["command"] == ["factorset", "file=corpus/g22.json"]
+    assert report["error"].startswith(f"cannot write {out}: ")
+    assert set(report) == {"command", "error"}
+
+
+def test_parser_builds_only_the_dispatched_subcommand(monkeypatch):
+    """_parser(["check", "x"]) constructs the top-level parser and the check
+    parser, and no parser for the other eight subcommands."""
+    progs = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    args = cli._parser(["check", "x"]).parse_args(["check", "x"])
+    assert progs == ["homsuper", "homsuper check"]
+    assert (args.subcommand, args.file, args.handler) == ("check", "x", cli.cmd_check)
+
+
+def test_main_in_sequence_prints_golden_bytes(monkeypatch, capsys):
+    """Calls of main in one process, on different subcommands and on help
+    and usage errors, each print their golden bytes: no parser state carries
+    over from one call to the next.  A handler rebound on the module is the
+    one called."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = []
+
+    def traced_check(args):
+        calls.append(args.file)
+        return handler(args)
+
+    handler = cli.cmd_check
+    monkeypatch.setattr(cli, "cmd_check", traced_check)
+    slugs = ["check_g22", "help", "usage_isoclinic_no_mode", "invariants_hs2",
+             "help_stem_decompose", "check_hs_f3", "usage_quotient_no_ideal",
+             "invariants_subcommand_name", "help_check", "check_g22"]
+    for slug in slugs:
+        case = MANIFEST[slug]
+        try:
+            code = cli.main(list(case["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (case["exit"], (GOLDEN / f"{slug}.out").read_text()), slug
+        if case.get("stderr"):
+            assert err == (GOLDEN / f"{slug}.err").read_text(), slug
+    assert calls == ["corpus/g22.json", "corpus/hs_f3.json", "corpus/g22.json"]
