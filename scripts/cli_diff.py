@@ -31,7 +31,9 @@ agree:
     of no arguments, an unknown subcommand, every subcommand without its
     arguments, an unrecognized option, isoclinic with both of --witness
     and --decide and with neither, and invariants given the subcommand
-    name check as its file.
+    name check as its file;
+  * --output on check, invariants, isoclinic --decide and iso-search,
+    which construct no object to write.
 
 The calls run with COLUMNS=80, since argparse wraps help and usage to the
 terminal width.  Every call whose exit code, stdout, stderr or --output
@@ -73,6 +75,13 @@ DECIDE = tuple(("isoclinic", a, b, "--decide") for a, b in (
     ("inputs/twist_shift_id_f3.json", "inputs/twist_shift_f3.json"),
     ("inputs/zc.json", "corpus/hs.json"),
     ("inputs/g22_hs_dense_q.json", "inputs/g22_hs_dense_q.json")))
+#: --output on the subcommands that construct no object.
+NO_ARTIFACT = (("check", "corpus/g22.json", "--output", "out/check.json"),
+               ("invariants", "corpus/g22.json", "--output", "out/invariants.json"),
+               ("isoclinic", "corpus/hs.json", "corpus/hs2.json", "--decide",
+                "--output", "out/isoclinic.json"),
+               ("iso-search", "corpus/hs.json", "corpus/hs.json",
+                "--output", "out/iso-search.json"))
 SUBCOMMANDS = ("check", "invariants", "quotient", "sum", "factorset", "extend",
                "stem-decompose", "isoclinic", "iso-search")
 #: Help and usage calls: argparse prints these and exits.
@@ -107,7 +116,7 @@ def cases(corpus: Path) -> list:
             if da["field"] == db["field"]:
                 pair = [f"corpus/{a}.json", f"corpus/{b}.json"]
                 chains += [[["iso-search", *pair]], [["isoclinic", *pair, "--decide"]]]
-    chains += [[list(argv)] for argv in INVALID + DECIDE + USAGE]
+    chains += [[list(argv)] for argv in INVALID + DECIDE + NO_ARTIFACT + USAGE]
     return chains
 
 

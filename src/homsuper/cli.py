@@ -25,8 +25,9 @@ fails the axioms, and extend a factor-set file whose quotient does, and
 3 inconclusive, 4 internal error (a constructed object
 failed re-validation, or an input the checks let through broke a
 construction).  Reports are byte-deterministic JSON
-(or --format text); --output writes the primary constructed object so
-it can be fed back into other commands.
+(or --format text).  The subcommands that construct an object (quotient,
+sum, factorset, extend, stem-decompose) take --output, which writes it so
+it can be fed back into other commands; the others reject it (exit 2).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def main(argv=None) -> int:
     args = _parser(argv).parse_args(argv)
     try:
         code, report, artifact = args.handler(args)
-        if args.output and artifact is not None:
+        if getattr(args, "output", None):
             save_json(args.output, artifact)
     except FormatError as exc:
         code, report = EXIT_INPUT, {"error": str(exc)}
@@ -79,6 +80,8 @@ def main(argv=None) -> int:
 
 _BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET,
                         "help": "search nodes to examine (default %(default)s)"})
+#: Only the subcommands whose handler returns an artifact have this option.
+_OUTPUT = ("--output", {"help": "write the primary constructed object (JSON) here"})
 
 #: Name, help, handler, positionals, required mutually exclusive group and other
 #: options of each subcommand; an option is a (flag, add_argument keywords) pair.
@@ -89,13 +92,14 @@ _COMMANDS = (
      ("file",), (), ()),
     ("quotient", "quotient by a Hom-ideal", "cmd_quotient", ("file",), (),
      (("--ideal", {"required": True, "help": "generators, ';'-separated: "
-                   "basis names or comma-separated coordinates"}),)),
-    ("sum", "direct sum of two algebras", "cmd_sum", ("file_a", "file_b"), (), ()),
+                   "basis names or comma-separated coordinates"}), _OUTPUT)),
+    ("sum", "direct sum of two algebras", "cmd_sum", ("file_a", "file_b"), (), (_OUTPUT,)),
     ("factorset", "factor set from a complement of the center", "cmd_factorset",
-     ("file",), (), ()),
-    ("extend", "central extension of a factor-set file", "cmd_extend", ("file",), (), ()),
+     ("file",), (), (_OUTPUT,)),
+    ("extend", "central extension of a factor-set file", "cmd_extend", ("file",), (),
+     (_OUTPUT,)),
     ("stem-decompose", "split off a maximal central abelian summand", "cmd_stem_decompose",
-     ("file",), (), ()),
+     ("file",), (), (_OUTPUT,)),
     ("isoclinic", "verify a witness or decide isoclinism", "cmd_isoclinic", ("file_a", "file_b"),
      (("--witness", {"help": "witness file to verify"}),
       ("--decide", {"action": "store_true", "help": "run the decision procedure"})), (_BUDGET,)),
@@ -130,7 +134,6 @@ def _parser(argv) -> argparse.ArgumentParser:
                 mode.add_argument(flag, **kwargs)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--output", help="write the primary constructed object (JSON) here")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--field", help="require inputs to be over this field (Q or Fp:<p>)")
         p.set_defaults(handler=globals()[handler])

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .linalg import (Field, Matrix, Subspace, _Slots, _accumulate, _dense_vec,
-                     _reduced_vec, basis_vec, vec_is_zero, vec_scale, zero_vec)
+                     _eliminate, _reduced_vec, basis_vec, vec_is_zero, vec_scale, zero_vec)
 
 EVEN, ODD = 0, 1
 
@@ -691,28 +691,61 @@ class EvenLinearMap:
 
 @_once
 def center(g: HomLieSuperalgebra) -> GradedSubspace:
-    """Z(G) = {x : [x, y] = 0 for all y}, as the kernel of the stacked
-    adjoint maps x -> [x, b_j]; only their nonzero rows are assembled."""
+    """Z(G) = {x : [x, y] = 0 for all y}, the left kernel of the d x d^2
+    matrix whose row i is ad(b_i), with [b_i, b_j] in the slots d j to
+    d j + d - 1, read off one elimination over the stored cells.
+
+    `_eliminate` inserts the rows ad(b_i) (+) e_i straight from the row
+    index, signs of derived i > j values included, for i from d - 1 down
+    to 0.  The kept rows have distinct lead slots, so they are independent
+    and their number r is the rank of ad.  A kept row's e-part involves
+    only kept indices: it starts as its own e_k and only kept rows reduce
+    it.  So a row i whose adjoint part reduces to zero leaves the e-part
+    e_i plus kept indices above i, inserted before it: a kernel vector
+    with 1 at i, 0 at every other such index and nothing below i.  These
+    d - r independent vectors span the kernel, of dimension d - r, and
+    listed by increasing i they are its unique RREF basis, with no second
+    reduction.  Without brackets the center is the whole space."""
     f = g.field
     d = g.dim
-    rows = {}
-    for i, row in enumerate(g.table.rows):
-        for j, (s, cell) in row.items():
-            for k, v in cell.items():
-                rows.setdefault((j, k), [f.zero] * d)[i] = v if s > 0 else f.neg(v)
-    m = Matrix.from_rows(f, [rows[jk] for jk in sorted(rows)], d)
-    return GradedSubspace.from_subspace(g.space, m.nullspace())
+    if not g.table.cells:
+        return GradedSubspace.full(f, g.space)
+    one = {0: f.one}
+    rows = g.table.rows
+    adjoint = ([(d * j, s, cell) for j, (s, cell) in rows[i].items()] + [(d * d + i, 1, one)]
+               for i in reversed(range(d)))
+    kernel = tuple(reversed(_eliminate(f, d * d, adjoint, d)[1]))
+    return GradedSubspace.from_subspace(g.space, Subspace(d, Matrix(f, len(kernel), d, kernel)))
 
 
 @_once
 def derived(g: HomLieSuperalgebra) -> GradedSubspace:
-    """Span of all brackets of basis pairs, split by parity."""
+    """G' = [G, G], the span of the stored cells on pairs i <= j (an i > j
+    value is the negated (j, i) cell or an injected cell, which the
+    validators flag), split by parity; its canonical basis is one RREF of
+    at most d cells.
+
+    With more than d cells, `_eliminate` first runs on the transposed
+    layout: row k holds coordinate k of every cell, one slot per cell.
+    The lead slots of its echelon are the pivot columns of that d x N
+    matrix, the cells independent of the cells before them, so those
+    r <= d cells are a basis of the span.  Without cells G' is 0."""
     f = g.field
-    vecs = [_dense_vec(f, g.dim, cell)
-            for i, row in enumerate(g.table.rows)
-            for j, (_, cell) in row.items() if i <= j]
-    sub = Subspace.from_vectors(f, g.dim, vecs)
-    return GradedSubspace.from_subspace(g.space, sub)
+    d = g.dim
+    cells = [cell for (i, j), cell in g.brackets.items() if i <= j]
+    if not cells:
+        return GradedSubspace.zero(f, g.space)
+    if len(cells) > d:
+        coords = [{} for _ in range(d)]
+        for c, cell in enumerate(cells):
+            for k, v in cell.items():
+                coords[k][c] = v
+        leads, _ = _eliminate(f, len(cells), (((0, 1, row),) for row in coords))
+        cells = [cells[c] for c in leads]
+    vecs = tuple(_dense_vec(f, d, cell) for cell in cells)
+    red, pivots = Matrix(f, len(vecs), d, vecs).rref()
+    r = len(pivots)
+    return GradedSubspace.from_subspace(g.space, Subspace(d, Matrix(f, r, d, red.entries[:r])))
 
 
 def bracket_span(g: HomLieSuperalgebra, u: GradedSubspace, v: GradedSubspace) -> GradedSubspace:

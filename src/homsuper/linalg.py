@@ -49,6 +49,30 @@ and `check_multiplicative_factor_set`, which no longer goes through
     slots, each entry divided by the scale as a `Fraction` over Q or
     reduced mod p over F_p, so a `Failure` holds the same values, of the
     same types, as the scalar kernels would give.
+
+The elimination `_eliminate`, behind `core.center` and `core.derived`,
+inserts rows one at a time into an echelon keyed by lead slots, with no
+dense matrix and no `Matrix.from_rows`:
+  * rows: each is assembled from (offset, sign, cell) blocks, such as the
+    cells of the row index.  Over Q it is a sparse {slot: Fraction} dict.
+    Over F_p it is one packed int in the `_Slots` layout, scale 1, bound
+    (p - 1)^2: a kept row's slots are residues in [0, p), so a row
+    operation x - c * row with c in [0, p) leaves every slot in
+    [-(p - 1)^2, p - 1], and `_Slots.reduce`, one multiply, shift and mask
+    on the whole row, brings them back to residues without a carry;
+  * leads: a row's lead is its lowest nonzero slot, over F_p the slot of
+    its lowest set bit, since every slot is a residue.  Each kept row has
+    its own lead, and a new row is reduced at its lead by the kept row
+    there, one row operation each, until its main part is zero or has a
+    lead no kept row holds;
+  * kernel: with a tail that starts as e_i on row i, a row operation
+    keeps every row equal to sum c_k (main_k | e_k) for its tail c, so a
+    row whose main part reduces to zero leaves a tail c with
+    sum c_k main_k = 0, a left-kernel vector.  The r kept rows, whose
+    leads differ, are independent, so r is the rank.  The d - r tails are
+    independent too, each having 1 at its own row and 0 at every other
+    row that left a tail, since only kept rows reduce a row; so they are
+    a basis of the left kernel, of dimension d - r.
 """
 
 from __future__ import annotations
@@ -297,7 +321,8 @@ class _Slots:
     have entries of absolute value at most `bound`; the width w is derived
     from that bound, so no slot carries into the next.  Over Q the packed
     vectors are `scale` times the field vectors; over F_p they are lifts of
-    the residues (scale 1), reduced only in `is_zero` and `unpack`.
+    the residues (scale 1), reduced only in `reduce`, `is_zero` and
+    `unpack`.
     """
 
     def __init__(self, field: Field, n: int, bound: int, scale: int):
@@ -325,8 +350,16 @@ class _Slots:
         w = self.w
         return sum(v << (w * k) for k, v in entries)
 
+    def reduce(self, x: int) -> int:
+        """Over F_p, the packed vector of the residues in [0, p) of x's
+        entries: x shifted by the offset, less p times every slot's
+        quotient."""
+        u = x + self._offset
+        return u - self.p * (((u * self._magic) >> self._shift) & self._low)
+
     def is_zero(self, x: int) -> bool:
-        """True when the packed vector x is zero in the field."""
+        """True when the packed vector x is zero in the field: over F_p,
+        when `reduce` would give 0, tested without forming the difference."""
         p = self.p
         if p is None:
             return not x
@@ -349,6 +382,71 @@ class _Slots:
         if p is None:
             return tuple(Fraction(v, self.scale) for v in out)
         return tuple(v % p for v in out)
+
+
+def _eliminate(field: Field, main: int, rows, tail: int = 0) -> tuple:
+    """(leads, tails): the lead slots, in increasing order, of the echelon
+    that rows inserted one at a time build, and the tail of every row whose
+    main part reduces to zero, in the order of the rows.
+
+    A row has main + tail slots, the main part first, and is given as
+    (offset, sign, cell) blocks at distinct slots: the entry sign * v at
+    slot offset + k for each (k, v) in the {k: canonical value} dict cell,
+    sign being 1 or -1.  A tail is a tuple of tail canonical values.  Over
+    F_p a row is one packed int (`_Slots`, scale 1) and over Q a sparse
+    {slot: Fraction} dict; see the Kernel contract."""
+    p = field.p
+    n = main + tail
+    leads, tails = {}, []
+    if p is None:
+        zero = field.zero
+        for blocks in rows:
+            x = {(off + k): (v if s > 0 else -v) for off, s, cell in blocks
+                 for k, v in cell.items()}
+            while True:
+                lead = min(x, default=n)
+                if lead >= main:
+                    tails.append(tuple(x.get(k, zero) for k in range(main, n)))
+                    break
+                piv = leads.get(lead)
+                if piv is None:
+                    inv = 1 / x[lead]
+                    leads[lead] = tuple((k, inv * v) for k, v in x.items())
+                    break
+                c = x[lead]
+                for k, v in piv:
+                    y = x.get(k, 0) - c * v
+                    if y:
+                        x[k] = y
+                    else:
+                        del x[k]
+        return sorted(leads), tails
+    slots = _Slots(field, n, (p - 1) ** 2, 1)
+    w = slots.w
+    mask = (1 << w) - 1
+    packed = {}
+    for blocks in rows:
+        x = 0
+        for off, s, cell in blocks:
+            c = packed.get(id(cell))
+            if c is None:
+                c = packed[id(cell)] = slots.pack(cell.items())
+            x += (c if s > 0 else -c) << (w * off)
+        x = slots.reduce(x)
+        while True:
+            lead = ((x & -x).bit_length() - 1) // w if x else n
+            if lead >= main:
+                t = x >> (w * main)
+                tails.append(tuple((t >> (w * k)) & mask for k in range(tail)))
+                break
+            v = (x >> (w * lead)) & mask
+            piv = leads.get(lead)
+            if piv is None:
+                leads[lead] = (x, pow(v, -1, p))
+                break
+            row, inv = piv
+            x = slots.reduce(x - v * inv % p * row)
+    return sorted(leads), tails
 
 
 @dataclass(frozen=True)

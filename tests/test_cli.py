@@ -332,6 +332,25 @@ def test_unwritable_output_is_an_input_error(target, tmp_path, monkeypatch, caps
     assert set(report) == {"command", "error"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "corpus/g22.json"], ["invariants", "corpus/g22.json"],
+    ["isoclinic", "corpus/hs.json", "corpus/hs2.json", "--decide"],
+    ["iso-search", "corpus/hs.json", "corpus/hs.json"]])
+def test_output_without_an_artifact_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    """The four subcommands whose handler constructs no object reject
+    --output as an unrecognized argument (exit 2), print no report and
+    write no file."""
+    monkeypatch.chdir(REPO_ROOT)
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--output", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert stderr.endswith(f"error: unrecognized arguments: --output {out}\n")
+    assert not out.exists()
+
+
 def test_parser_builds_only_the_dispatched_subcommand(monkeypatch):
     """_parser(["check", "x"]) constructs the top-level parser and the check
     parser, and no parser for the other eight subcommands."""

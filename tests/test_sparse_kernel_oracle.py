@@ -25,11 +25,15 @@ any generated quotient.  Homomorphisms are checked on random even maps
 between two such algebras over one field, square or not, singular or
 invertible, and on the transporting map of a transport, which is an
 isomorphism when the algebra has no injected cells.  The last tests use
-the shape the ladder workload of the benchmark runs over Q:
-signed-permutation transports of g22^(+)2.
+the shapes the ladder workload of the benchmark runs: signed-permutation
+transports of g22^(+)2 over Q, and `center` and `derived` on transports of
+g22^k (+) hs^m of dim 8 to 24 over every field, dense over F_p and by
+signed permutations over Q, on their sums with an abelian part, and on
+abelian algebras, which have no cells.
 """
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -44,7 +48,7 @@ from reference_kernel import (field_ops_check_hom_jacobi, field_ops_eval,
                               reference_validate_factor_set)
 
 from homsuper.core import (EvenLinearMap, HomLieSuperalgebra, SuperSpace,
-                           _preservation_failures, center, check_hom_jacobi,
+                           _preservation_failures, abelian, center, check_hom_jacobi,
                            check_homomorphism, check_multiplicative, derived, direct_sum)
 from homsuper.corpus import g22, hs, hs2, t2
 from homsuper.errors import PreconditionError
@@ -58,6 +62,24 @@ FIELDS = (QQ, GF(3), GF(5), GF(LARGEST_PRIME))
 #: minutes per failing test.
 ORACLE = settings(max_examples=120, deadline=None, derandomize=True,
                   phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+#: Seconds after which a test fails; each takes about a second.
+TIME_LIMIT = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TIME_LIMIT, and again every TIME_LIMIT
+    after that, as Hypothesis replays the failing example: an elimination
+    that no longer clears a row's lead slot (say, without `_Slots.reduce`)
+    loops on that slot forever rather than returning a wrong subspace."""
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past {TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT, TIME_LIMIT)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def hso(field):
@@ -303,3 +325,58 @@ def test_benchmark_shape_matches_dense_reference(seed):
         got = repr(validate_factor_set(f))
         assert got == repr(reference_validate_factor_set(f))
         assert got == repr(field_ops_validate_factor_set(f))
+
+
+def dense_even(field, p, q, rng):
+    """A random invertible even matrix with dense blocks over F_p."""
+    while True:
+        m = Matrix.from_rows(field, [[rng.randrange(field.p) if (r < p) == (c < p) else 0
+                                      for c in range(p + q)] for r in range(p + q)], p + q)
+        if m.is_invertible():
+            return m
+
+
+def ladder_algebra(field, k, m, pad, rng):
+    """g22^k (+) hs^m (+) an abelian (pad|pad), moved by a dense even change
+    of basis over F_p and by a signed permutation over Q."""
+    parts = [g22(field)] * k + [hs(field)] * m + ([abelian(field, pad, pad)] if pad else [])
+    base = parts[0]
+    for part in parts[1:]:
+        base = direct_sum(base, part)
+    p, q = base.space.dims
+    move = signed_permutation if field.p is None else dense_even
+    return transport(base, move(field, p, q, rng))
+
+
+def assert_center_derived_agree(g):
+    assert outcome(center, g) == outcome(reference_center, g)
+    assert outcome(derived, g) == outcome(reference_derived, g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("k, m", [(1, 2), (2, 2), (2, 4), (2, 6), (3, 6)],
+                         ids=lambda x: str(x))
+def test_ladder_sizes_center_derived_match_dense_reference(field, k, m):
+    """Dim 8, 12, 16, 20 and 24, the sizes the ladder times."""
+    g = ladder_algebra(field, k, m, 0, random.Random(4 * k + m))
+    assert g.dim == 4 * k + 2 * m
+    assert_center_derived_agree(g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_abelian_center_derived_match_dense_reference(field):
+    """Without cells the center is the whole space and the derived
+    subalgebra 0; with an abelian summand, or with injected i > j cells
+    only (the derived subalgebra reads i <= j cells, the center every row),
+    the elimination runs on a partly abelian table."""
+    rng = random.Random(7)
+    for p, q in ((0, 0), (1, 0), (0, 2), (3, 3)):
+        g = abelian(field, p, q)
+        assert not g.brackets
+        assert_center_derived_agree(g)
+    for k, m, pad in ((1, 0, 1), (1, 2, 2), (2, 2, 3)):
+        assert_center_derived_agree(ladder_algebra(field, k, m, pad, rng))
+    g = abelian(field, 2, 2)
+    injected = HomLieSuperalgebra(g.space, {(1, 0): {0: 1}, (3, 2): {1: 1}}, g.twist)
+    assert_center_derived_agree(injected)
+    assert derived(injected).dim == 0 and center(injected).dim == 2
