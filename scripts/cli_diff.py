@@ -27,6 +27,9 @@ agree:
     (isoclinic, not isomorphic), on zc against hs, and on g22_hs_dense_q
     against itself, whose center (1, 2/3, -4/3) is spanned by no
     coordinate vector;
+  * quotient of g22_hs_dense_q by its center and by its derived
+    subalgebra, ideals given by non-coordinate vectors, so that the
+    projection has columns off the unit vectors;
   * the top-level help and that of every subcommand, and the usage errors
     of no arguments, an unknown subcommand, every subcommand without its
     arguments, an unrecognized option, isoclinic with both of --witness
@@ -75,6 +78,11 @@ DECIDE = tuple(("isoclinic", a, b, "--decide") for a, b in (
     ("inputs/twist_shift_id_f3.json", "inputs/twist_shift_f3.json"),
     ("inputs/zc.json", "corpus/hs.json"),
     ("inputs/g22_hs_dense_q.json", "inputs/g22_hs_dense_q.json")))
+#: quotient of g22_hs_dense_q by its center and by its derived subalgebra.
+QUOTIENT = tuple(("quotient", "inputs/g22_hs_dense_q.json", "--ideal", ideal,
+                  "--output", f"out/g22_hs_dense_q.{name}.json") for name, ideal in (
+    ("center", "1,2/3,-4/3,0,0,0"),
+    ("derived", "1,0,-36/35,0,0,0;0,1,-16/35,0,0,0;0,0,0,1,0,0;0,0,0,0,1,1")))
 #: --output on the subcommands that construct no object.
 NO_ARTIFACT = (("check", "corpus/g22.json", "--output", "out/check.json"),
                ("invariants", "corpus/g22.json", "--output", "out/invariants.json"),
@@ -116,7 +124,7 @@ def cases(corpus: Path) -> list:
             if da["field"] == db["field"]:
                 pair = [f"corpus/{a}.json", f"corpus/{b}.json"]
                 chains += [[["iso-search", *pair]], [["isoclinic", *pair, "--decide"]]]
-    chains += [[list(argv)] for argv in INVALID + DECIDE + NO_ARTIFACT + USAGE]
+    chains += [[list(argv)] for argv in INVALID + DECIDE + QUOTIENT + NO_ARTIFACT + USAGE]
     return chains
 
 

@@ -12,7 +12,9 @@ command.  Hand-written inputs live in inputs/: witness files (one over F_3
 whose maps fail to preserve brackets, and one whose derived map is doubled
 on g22_hs_dense_q, a dense transport of g22 + hs over Q, whose center
 (1, 2/3, -4/3) is spanned by no coordinate vector and whose reflexive
-decide is pinned too), two algebras that
+decide is pinned too, as are its quotients by that center and by its
+derived subalgebra, so that the projection has columns off the unit
+vectors), two algebras that
 fail the Jacobi identity (a dense transport over Q with one bracket value
 changed, so the failing sums are fractional, and one over F_3), two dense
 transports with their twist doubled, so that only multiplicativity fails
