@@ -4,8 +4,11 @@ A Hom-Lie superalgebra is a Z2-graded space with a graded skew-symmetric
 bracket and an even linear twist map satisfying the twisted (Hom-)Jacobi
 identity.  This module holds the data model, the axiom validators, the
 structural invariants (center, derived subalgebra, stem property), and
-the quotient / direct-sum / homomorphism constructions, among them the
-quotient by the center that `isoclinism.central_quotient` memoises.
+the quotient / direct-sum / homomorphism constructions.  One function,
+`_quotient`, builds every quotient over the greedy graded complement of
+the subspace: `quotient` by a Hom-ideal, and the quotient by the center
+that `isoclinism.central_quotient` memoises and
+`factorset.factor_set_from_complement` reads its section off.
 
 Conventions used throughout the package:
   * basis indices 0..p-1 are even, p..p+q-1 are odd;
@@ -757,8 +760,9 @@ def bracket_span(g: HomLieSuperalgebra, u: GradedSubspace, v: GradedSubspace) ->
 
 
 def is_hom_ideal(g: HomLieSuperalgebra, k: GradedSubspace) -> bool:
-    """True when k is twist-invariant and absorbs brackets with all of g."""
-    if k.ambient_dims != g.space.dims:
+    """True when k is twist-invariant and absorbs brackets with all of g.
+    A subspace of another space or over another field raises ValueError."""
+    if k.field != g.field or k.ambient_dims != g.space.dims:
         raise ValueError("subspace does not live in the algebra's space")
     f = g.field
     for v in k.full_basis_vectors():
@@ -778,42 +782,55 @@ def is_stem(g: HomLieSuperalgebra) -> bool:
 # ---------------------------------------------------------------------------
 # constructions
 
-def quotient(g: HomLieSuperalgebra, k: GradedSubspace,
-             reps: Optional[GradedSubspace] = None):
-    """Quotient by a Hom-ideal: the algebra `_induced` on a deterministic
-    graded complement of k (or the supplied one), in the coordinates of
-    the projection along k.
+def quotient(g: HomLieSuperalgebra, k: GradedSubspace):
+    """Quotient by a Hom-ideal over the greedy graded complement of k, as
+    `_quotient` reads it off the stored cells.
 
     Returns (quotient algebra, projection map).
     """
     if not is_hom_ideal(g, k):
         raise PreconditionError("quotient: subspace is not a Hom-ideal")
-    f = g.field
-    if reps is None:
-        w = k.complement_in()
-    else:
-        w = reps
-        if w.field != f or w.ambient_dims != g.space.dims or k.intersect(w).dim != 0 \
-                or k.dim + w.dim != g.dim:
-            raise PreconditionError("quotient: supplied representatives do not complement the ideal")
-    basis = Matrix.from_columns(f, k.full_basis_vectors() + w.full_basis_vectors(), g.dim)
-    proj = basis.inverse().submatrix(range(k.dim, g.dim), range(g.dim))
-    qalg = _induced(g, w, proj.matvec)
-    return qalg, EvenLinearMap(g.space, qalg.space, proj)
+    return _quotient(g, k)[:2]
 
 
-def _central_quotient(g: HomLieSuperalgebra):
-    """The quotient by the center over its greedy graded complement, read
-    off the stored cells: (quotient algebra, projection, section), entry
-    for entry those of `quotient(g, center(g), reps=center(g).complement_in())`.
-    `isoclinism.central_quotient` memoises it, and its docstring gives the
-    argument; `Matrix.nullspace` rests on the same fact about the RREF with
-    the columns reversed."""
+def _quotient(g: HomLieSuperalgebra, k: GradedSubspace):
+    """The quotient by a graded subspace k with [k, g] in k over the greedy
+    graded complement of k, read off the stored cells of g.
+
+    Returns (quotient algebra, projection, section).  The section maps
+    quotient coordinates to the chosen representatives inside g.  No basis
+    inverse and no dense bracket is needed, because:
+
+    * The complement.  Take, per parity block, the RREF of k's basis rows
+      with the columns reversed, and reverse its rows back: each row r_i
+      has 1 at its trailing pivot t_i, 0 at every other trailing pivot
+      and after t_i.  `complement_in` keeps the coordinate vector e_c
+      exactly when e_c lies outside k + span(e_{<c}), that is, when no
+      vector of k has its last nonzero entry at c, that is, when c is no
+      t_i.  So the greedy complement is spanned by the e_c with c in C,
+      the coordinates outside the t_i, and the section is those unit
+      columns, in increasing order, even ones first.
+    * The projection.  proj(v) = (v - sum_i v[t_i] r_i) restricted to C:
+      the difference vanishes at every t_i, so it lies in span(e_C), and
+      v minus it lies in k.  Column e_c of proj is a unit vector and
+      column e_{t_i} is -r_i restricted to C, so no inverse is needed.
+    * Brackets and twist.  The quotient bracket of (a, b) is proj of the
+      stored cell (C[a], C[b]); C is increasing, so a <= b reads the
+      i <= j cells that `bracket` reads.  Twist column a is proj of
+      theta's column C[a].  Each is summed raw and reduced once, so the
+      entries are canonical.
+    * The twist check.  theta(k) in k, that is, proj(theta r_i) = 0 for
+      every i; otherwise PreconditionError ("quotient: subspace is not a
+      Hom-ideal") is raised.  Brackets are not checked: `quotient` checks
+      `is_hom_ideal` first, and the center absorbs them by definition, so
+      for it this check is the whole Hom-ideal check.
+
+    `Matrix.nullspace` rests on the same fact about the RREF with the
+    columns reversed."""
     f = g.field
-    z = center(g)
     d = g.dim
     kept, dims, tails = [], [], {}     # C, its graded dims, t_i -> r_i on C
-    for sub, off in ((z.even, 0), (z.odd, g.space.even_dim)):
+    for sub, off in ((k.even, 0), (k.odd, g.space.even_dim)):
         n = sub.ambient_dim
         red, pivots = Matrix(f, sub.dim, n, tuple(r[::-1] for r in sub.basis.entries)).rref()
         for row, pc in zip(red.entries, pivots):
@@ -828,10 +845,10 @@ def _central_quotient(g: HomLieSuperalgebra):
     def proj(terms) -> dict:
         """proj(v) as raw sums, v given by its (index, value) terms."""
         acc = {}
-        for k, x in terms:
-            a = pos.get(k)
+        for i, x in terms:
+            a = pos.get(i)
             if a is None:
-                _accumulate(acc, tails[k], -x)
+                _accumulate(acc, tails[i], -x)
             else:
                 acc[a] = acc.get(a, 0) + x
         return acc
@@ -915,35 +932,29 @@ def abelian(field: Field, even_dim: int, odd_dim: int,
 def subalgebra_on(g: HomLieSuperalgebra, k: GradedSubspace):
     """Induced algebra on a bracket-closed, twist-invariant graded subspace.
 
-    Returns (subalgebra, inclusion map).  The algebra is `_induced` in the
-    coordinates of the RREF basis of k, even vectors first.
+    Returns (subalgebra, inclusion map).  The algebra's twist and brackets
+    are g's in the coordinates of the RREF basis of k, even vectors first,
+    each twist image and bracket of basis vectors computed once, the twist
+    images first.  One that leaves k raises PreconditionError.
     """
-    alg = _induced(g, k, k.coordinates_of)
-    incl = Matrix.from_columns(g.field, k.full_basis_vectors(), g.dim)
-    return alg, EvenLinearMap(alg.space, g.space, incl)
-
-
-def _induced(g: HomLieSuperalgebra, w: GradedSubspace, coords) -> HomLieSuperalgebra:
-    """The algebra on the basis of w whose twist and brackets are g's, each
-    twist image and bracket of basis vectors computed once and sent to
-    coordinates by `coords`, the twist images first.  One that `coords`
-    sends to None leaves the subspace and raises PreconditionError."""
-    vecs = w.full_basis_vectors()
+    vecs = k.full_basis_vectors()
     twist = []
     for v in vecs:
-        col = coords(g.theta(v))
+        col = k.coordinates_of(g.theta(v))
         if col is None:
             raise PreconditionError("subspace is not twist-invariant")
         twist.append(col)
     brackets = {}
     for a, va in enumerate(vecs):
         for b in range(a, len(vecs)):
-            col = coords(g.bracket(va, vecs[b]))
+            col = k.coordinates_of(g.bracket(va, vecs[b]))
             if col is None:
                 raise PreconditionError("subspace is not closed under the bracket")
             brackets[(a, b)] = dict(enumerate(col))
-    return HomLieSuperalgebra(SuperSpace(w.even.dim, w.odd.dim), brackets,
-                              Matrix.from_columns(g.field, twist, w.dim))
+    alg = HomLieSuperalgebra(SuperSpace(*k.dims), brackets,
+                             Matrix.from_columns(g.field, twist, k.dim))
+    return alg, EvenLinearMap(alg.space, g.space,
+                              Matrix.from_columns(g.field, vecs, g.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,14 @@ reads the factor set off a complement of the center of an algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from .core import (ODD, EvenLinearMap, Failure, GradedBilinearTable, GradedSubspace,
-                   HomLieSuperalgebra, SuperSpace, ValidationReport, _central_quotient,
-                   _check_even_matrix, _int_forms, _once, _packed_rows,
-                   _preservation_failures, _sum_layout, _twisted_adjoint, center,
-                   check_multiplicative, check_regular, is_isomorphism, quotient,
-                   subalgebra_on)
+                   HomLieSuperalgebra, SuperSpace, ValidationReport, _check_even_matrix,
+                   _int_forms, _once, _packed_rows, _preservation_failures, _quotient,
+                   _sum_layout, _twisted_adjoint, center, check_multiplicative,
+                   check_regular, is_isomorphism, subalgebra_on)
 from .errors import HomSuperError, PreconditionError
-from .linalg import Field, Matrix, _Slots, vec_sub
+from .linalg import Field, Matrix, Subspace, _Slots, vec_sub
 
 
 @dataclass(frozen=True)
@@ -193,14 +191,16 @@ class ComplementSplitting:
     section: EvenLinearMap
 
 
-def factor_set_from_complement(g: HomLieSuperalgebra,
-                               w: Optional[GradedSubspace] = None):
-    """Read a factor set off a complement of the center.
+def factor_set_from_complement(g: HomLieSuperalgebra):
+    """Read a factor set off the greedy graded complement of the center.
 
-    With Psi the section through the complement, the factor set is
-    r(m, n) = [Psi(m), Psi(n)] - Psi([m, n]); every value is checked to
-    lie in the center.  Returns (factor set, splitting, iso) where iso
-    maps the rebuilt extension back onto g.
+    With Psi the section through the complement that `core._quotient`
+    chooses, the factor set is r(m, n) = [Psi(m), Psi(n)] - Psi([m, n]);
+    every value is checked to lie in the center.  The complement is the
+    span of the section's columns, unit vectors in increasing order, so
+    they are its RREF basis.  Any section gives a cohomologous factor set.
+    Returns (factor set, splitting, iso) where iso maps the rebuilt
+    extension back onto g.
     """
     if not check_multiplicative(g).passed:
         raise PreconditionError("algebra is not multiplicative")
@@ -208,12 +208,10 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
         raise PreconditionError("algebra is not regular")
     f = g.field
     z = center(g)
-    supplied = w is not None
-    if not supplied:
-        w = z.complement_in()
-    elif w.field != f or w.ambient_dims != g.space.dims or z.intersect(w).dim != 0 \
-            or z.dim + w.dim != g.dim:
-        raise PreconditionError("supplied subspace is not a complement of the center")
+    # theta(Z) lies in Z: [theta(z), y] = theta([z, theta^-1(y)]) = 0, so
+    # `_quotient` cannot fail its Hom-ideal check
+    qalg, _, sect = _quotient(g, z)
+    w = GradedSubspace.from_subspace(g.space, Subspace(g.dim, sect.matrix.transpose()))
     reps = w.full_basis_vectors()
     for v in reps:
         tv = g.theta(v)
@@ -221,13 +219,6 @@ def factor_set_from_complement(g: HomLieSuperalgebra,
             raise PreconditionError(
                 "twist does not preserve the complement; witness vector "
                 + str([f.fmt(x) for x in tv]))
-    # theta(Z) lies in Z: [theta(z), y] = theta([z, theta^-1(y)]) = 0, so
-    # neither quotient construction can fail its Hom-ideal check
-    if supplied:
-        qalg, _ = quotient(g, z, reps=w)
-        sect = EvenLinearMap(qalg.space, g.space, Matrix.from_columns(f, reps, g.dim))
-    else:
-        qalg, _, sect = _central_quotient(g)
     zalg, zincl = subalgebra_on(g, z)
     coeffs = {}
     for a in range(qalg.dim):

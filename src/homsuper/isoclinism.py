@@ -13,8 +13,8 @@ nu (see `isoclinic_decide`).
 
 Witness matrices are always expressed over the deterministic bases:
 the greedy graded complement of the center for central quotients, which
-`central_quotient` reads off the trailing pivots of the center's basis,
-and the RREF basis of the derived subalgebra.
+`central_quotient` takes from `core._quotient`, the one owner of that
+convention, and the RREF basis of the derived subalgebra.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .core import (EvenLinearMap, Failure, GradedSubspace, HomLieSuperalgebra,
-                   ValidationReport, _central_quotient, _once, bracket_span, center,
+                   ValidationReport, _once, _quotient, bracket_span, center,
                    check_homomorphism, check_multiplicative, check_regular,
                    derived, direct_sum_with_embeddings, is_isomorphism,
                    is_stem, subalgebra_on)
@@ -57,41 +57,19 @@ def _require_regular(g: HomLieSuperalgebra, label: str):
 
 @_once
 def central_quotient(g: HomLieSuperalgebra):
-    """Quotient by the center over the greedy graded complement, read off
-    the stored cells of g by `core._central_quotient`.
+    """Quotient by the center over its greedy graded complement, read off
+    the stored cells of g by `core._quotient`, whose docstring gives the
+    argument.
 
     Returns (quotient algebra, projection, section).  The section maps
     quotient coordinates to the chosen representatives inside g.  The
-    values are entry-identical to those of `core.quotient(g, z,
-    reps=z.complement_in())` with z = center(g), without its basis
-    inverse, its Hom-ideal loop or its dense brackets, because:
-
-    * The complement.  Take, per parity block, the RREF of Z's basis rows
-      with the columns reversed, and reverse its rows back: each row r_i
-      has 1 at its trailing pivot t_i, 0 at every other trailing pivot
-      and after t_i.  `complement_in` keeps the coordinate vector e_c
-      exactly when e_c lies outside Z + span(e_{<c}), that is, when no
-      vector of Z has its last nonzero entry at c, that is, when c is no
-      t_i.  So the greedy complement is spanned by the e_c with c in C,
-      the coordinates outside the t_i, and the section is those unit
-      columns, in increasing order, even ones first.
-    * The projection.  proj(v) = (v - sum_i v[t_i] r_i) restricted to C:
-      the difference vanishes at every t_i, so it lies in span(e_C), and
-      v minus it lies in Z.  Column e_c of proj is a unit vector and
-      column e_{t_i} is -r_i restricted to C, so no inverse is needed.
-    * Brackets and twist.  The quotient bracket of (a, b) is proj of the
-      stored cell (C[a], C[b]); C is increasing, so a <= b reads the
-      i <= j cells that `bracket` reads.  Twist column a is proj of
-      theta's column C[a].  Each is summed raw and reduced once, so the
-      entries are canonical.
-    * The Hom-ideal check.  [Z, g] = 0 by definition, so
-      `is_hom_ideal(g, center(g))` comes down to theta(Z) in Z, that is,
-      proj(theta r_i) = 0 for every i; otherwise PreconditionError
-      ("quotient: subspace is not a Hom-ideal") is raised.
-      `witness_from_surjection` reaches this function without the
-      regularity check, so the check stays.
+    center absorbs every bracket, so `_quotient`'s twist check is the
+    whole Hom-ideal check: a center that theta does not preserve raises
+    PreconditionError ("quotient: subspace is not a Hom-ideal").
+    `witness_from_surjection` reaches this function without the
+    regularity check, so the check stays.
     """
-    return _central_quotient(g)
+    return _quotient(g, center(g))
 
 
 @_once

@@ -25,6 +25,13 @@ pair through `reference_matvec` and `reference_eval`, and
 `reference_check_homomorphism` adds the twist intertwining through
 `reference_matmul`.
 
+`reference_quotient` is the construction `quotient` once had: the
+Hom-ideal check of `is_hom_ideal`, the greedy complement W of
+`complement_in`, the projection read off the inverse of the basis k | W,
+and brackets and twist images of W's basis vectors sent through it.
+`quotient` and `central_quotient` must give the same quotient algebra,
+projection and section, entry for entry.
+
 `reference_stem_decompose` extends the derived subalgebra by its own
 greedy walk over the standard basis, checks twist invariance with its own
 loops, and builds the induced algebras through `reference_subalgebra_on`,
@@ -48,8 +55,8 @@ from fractions import Fraction
 
 from homsuper.core import (EVEN, EvenLinearMap, Failure, GradedSubspace,
                            HomLieSuperalgebra, SuperSpace, ValidationReport, center,
-                           derived, direct_sum_with_embeddings, is_isomorphism,
-                           is_stem, koszul_sign)
+                           derived, direct_sum_with_embeddings, is_hom_ideal,
+                           is_isomorphism, is_stem, koszul_sign)
 from homsuper.errors import PreconditionError
 from homsuper.isoclinism import StemDecomposition, _require_regular
 from homsuper.linalg import (Field, Matrix, Subspace, _dense_vec, _sparse_vec, basis_vec,
@@ -261,6 +268,30 @@ def reference_derived(g) -> GradedSubspace:
     vecs = [g.basis_bracket(i, j) for i in range(g.dim) for j in range(i, g.dim)]
     sub = reference_from_vectors(g.field, g.dim, vecs)
     return reference_from_subspace(g.space, sub)
+
+
+# ---------------------------------------------------------------------------
+# quotient
+
+def reference_quotient(g, k: GradedSubspace):
+    """(quotient algebra, projection, section) over the greedy complement W
+    of the Hom-ideal k: the projection is the W rows of the inverse of the
+    basis k | W, the section W's basis, and the quotient's twist and
+    brackets are the projected twist images and brackets of that basis."""
+    if not is_hom_ideal(g, k):
+        raise PreconditionError("quotient: subspace is not a Hom-ideal")
+    f = g.field
+    w = k.complement_in()
+    reps = w.full_basis_vectors()
+    basis = Matrix.from_columns(f, k.full_basis_vectors() + reps, g.dim)
+    proj = basis.inverse().submatrix(range(k.dim, g.dim), range(g.dim))
+    space = SuperSpace(w.even.dim, w.odd.dim)
+    twist = Matrix.from_columns(f, [proj.matvec(g.theta(v)) for v in reps], w.dim)
+    brackets = {(a, b): dict(enumerate(proj.matvec(g.bracket(reps[a], reps[b]))))
+                for a in range(w.dim) for b in range(a, w.dim)}
+    qalg = HomLieSuperalgebra(space, brackets, twist)
+    return (qalg, EvenLinearMap(g.space, space, proj),
+            EvenLinearMap(space, g.space, Matrix.from_columns(f, reps, g.dim)))
 
 
 # ---------------------------------------------------------------------------

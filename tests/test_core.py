@@ -331,23 +331,20 @@ def test_quotient_rejects_non_ideal(algebras):
         quotient(hs, k)
 
 
-def test_quotient_rejects_representatives_of_other_dims(algebras):
-    """Representatives in a space of other graded dims are a failed
-    precondition, found before they are intersected with the ideal."""
-    hs2 = algebras["hs2"]
-    k = GradedSubspace.from_vectors(QQ, hs2.space, [(0, 1, 0)])
-    w = GradedSubspace.full(QQ, SuperSpace(1, 2))
-    with pytest.raises(PreconditionError, match="do not complement the ideal"):
-        quotient(hs2, k, reps=w)
+def test_is_hom_ideal_rejects_a_subspace_over_another_field(algebras):
+    """A subspace of the right dims over another field is not read as the
+    algebra's field: it is rejected like a subspace of another space."""
+    g22_f3 = algebras["g22_f3"]
+    k = GradedSubspace.from_vectors(QQ, g22_f3.space, [ev(g22_f3, 1)])
+    with pytest.raises(ValueError, match="subspace does not live in the algebra's space"):
+        is_hom_ideal(g22_f3, k)
 
 
-def test_quotient_rejects_representatives_over_another_field(algebras):
-    """Representatives over another field, of the right dims, are a failed
-    precondition too, not an error from intersecting them with the ideal."""
-    hs2 = algebras["hs2"]
-    w = GradedSubspace.from_vectors(GF(3), hs2.space, [(0, 0, 1)])
-    with pytest.raises(PreconditionError, match="do not complement the ideal"):
-        quotient(hs2, center(hs2), reps=w)
+def test_quotient_rejects_a_subspace_over_another_field():
+    a = abelian(F3, 2, 0)
+    k = GradedSubspace.from_vectors(QQ, a.space, [(1, Fraction(1, 2))])
+    with pytest.raises(ValueError, match="subspace does not live in the algebra's space"):
+        quotient(a, k)
 
 
 def test_quotient_preserves_validity(algebras, corpus_name):

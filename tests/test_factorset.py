@@ -224,7 +224,7 @@ def test_extend_rejects_invalid_factor_set():
 def test_hs_complement_reads_off_the_central_charge(algebras):
     hs = algebras["hs"]
     w = GradedSubspace.from_vectors(QQ, hs.space, [(0, 1)])
-    fs, split, iso = factor_set_from_complement(hs, w)
+    fs, split, iso = factor_set_from_complement(hs)
     assert fs.table.value(0, 0) == (Fraction(1),)  # r(f, f) = z
     assert split.complement == w
     assert is_isomorphism(iso, extend(fs).algebra, hs)
@@ -274,20 +274,14 @@ def test_factor_set_values_live_in_the_center(algebras, corpus_name):
             assert zfull.contains_vector(val)
 
 
-def test_supplied_complement_must_complement_the_center(algebras):
-    hs = algebras["hs"]
-    w = GradedSubspace.from_vectors(QQ, hs.space, [(1, 0)])  # the center itself
-    with pytest.raises(PreconditionError):
-        factor_set_from_complement(hs, w)
-
-
-def test_supplied_complement_over_another_field_is_rejected(algebras):
-    """A complement of the right dims over another field is a failed
-    precondition, not an error from intersecting it with the center."""
-    hs2 = algebras["hs2"]
-    w = GradedSubspace.from_vectors(GF(3), hs2.space, [(0, 0, 1)])
-    with pytest.raises(PreconditionError, match="not a complement of the center"):
-        factor_set_from_complement(hs2, w)
+def test_complement_is_the_greedy_complement_of_the_center(algebras, corpus_name):
+    """The splitting's complement, the span of the section's columns, is
+    the complement `complement_in` chooses."""
+    g = algebras[corpus_name]
+    _, split, _ = factor_set_from_complement(g)
+    assert split.complement == center(g).complement_in()
+    assert split.section.matrix == Matrix.from_columns(
+        g.field, split.complement.full_basis_vectors(), g.dim)
 
 
 def test_twist_escape_is_reported_with_witness():
