@@ -21,8 +21,11 @@ agree:
     (one of them a dense transport over Q with its twist doubled), extend
     on the one that fails the cocycle identity, isoclinic --witness on two
     witnesses whose maps do not preserve brackets (one over F_3, one over
-    Q whose derived map is doubled), so that failure lists count too, and
-    stem-decompose on zc, whose greedy abelian part is not twist-invariant;
+    Q whose derived map is doubled) and on two whose maps are isomorphisms
+    that break the isoclinism square (hs with mu = 1 and nu = 2) and also
+    the coset check (g22 over F_3 with nu swapping f1 and f2), so that
+    failure lists count too, and stem-decompose on zc, whose greedy
+    abelian part is not twist-invariant;
   * isoclinic --decide on the twist-shift pair over Q and over F_3
     (isoclinic, not isomorphic), on zc against hs, and on g22_hs_dense_q
     against itself, whose center (1, 2/3, -4/3) is spanned by no
@@ -69,7 +72,11 @@ INVALID = (("check", "inputs/jacobi_dense_q.json"), ("check", "inputs/jacobi_f3.
            ("isoclinic", "corpus/g22_f3.json", "corpus/g22_f3.json",
             "--witness", "inputs/witness_g22_f3_dense.json"),
            ("isoclinic", "inputs/g22_hs_dense_q.json", "inputs/g22_hs_dense_q.json",
-            "--witness", "inputs/witness_g22_hs_dense_q_doubled.json"))
+            "--witness", "inputs/witness_g22_hs_dense_q_doubled.json"),
+           ("isoclinic", "corpus/hs.json", "corpus/hs.json",
+            "--witness", "inputs/witness_hs_square.json"),
+           ("isoclinic", "corpus/g22_f3.json", "corpus/g22_f3.json",
+            "--witness", "inputs/witness_g22_f3_coset.json"))
 #: isoclinic --decide on pairs of inputs under INPUTS: the twist-shift pair
 #: {x, y, z} with [x, y] = z, theta = id against theta(x) = x + z, over Q
 #: and F_3, zc against hs, and g22_hs_dense_q against itself.

@@ -14,7 +14,9 @@ on g22_hs_dense_q, a dense transport of g22 + hs over Q, whose center
 (1, 2/3, -4/3) is spanned by no coordinate vector and whose reflexive
 decide is pinned too, as are its quotients by that center and by its
 derived subalgebra, so that the projection has columns off the unit
-vectors), two algebras that
+vectors; and two whose maps are isomorphisms that break the isoclinism
+square, on hs with mu = 1 and nu = 2, and on g22 over F_3 with nu
+swapping f1 and f2, which also breaks the coset check), two algebras that
 fail the Jacobi identity (a dense transport over Q with one bracket value
 changed, so the failing sums are fractional, and one over F_3), two dense
 transports with their twist doubled, so that only multiplicativity fails
