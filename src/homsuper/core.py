@@ -966,6 +966,8 @@ def check_homomorphism(f: EvenLinearMap, g1: HomLieSuperalgebra,
     intertwining (f . twist_1 = twist_2 . f) as a matrix identity."""
     if f.source.dims != g1.space.dims or f.target.dims != g2.space.dims:
         raise ValueError("map endpoints do not match the algebras")
+    if f.field != g1.field or f.field != g2.field:
+        raise ValueError("map field does not match the algebras")
     fails = list(_preservation_failures("homomorphism-bracket", g1.table, g2.table,
                                         f.matrix, f.matrix))
     left = f.matrix @ g1.twist

@@ -2,14 +2,14 @@
 
 An isoclinism between two regular Hom-Lie superalgebras is a compatible
 pair of isomorphisms: one, mu, between the central quotients, one, nu,
-between the derived subalgebras, making the induced bracket square
-commute.  The module verifies witnesses, builds the witness induced by a
-homomorphism that is onto modulo the center, splits off a central abelian
-summand (stem decomposition), enumerates isomorphisms, and decides
-isoclinism by the definition: it searches the isomorphisms mu of the
-central quotients that carry every linear relation among lifted brackets
-of one algebra to the other, and for the first such mu the square forces
-nu (see `isoclinic_decide`).
+between the derived subalgebras, with nu(kappa1(a, b)) = kappa2(mu a, mu b)
+for the commutator maps kappa (`_commutator_map`).  The module verifies
+witnesses, builds the witness induced by a homomorphism that is onto
+modulo the center, splits off a central abelian summand (stem
+decomposition), enumerates isomorphisms, and decides isoclinism by the
+definition: it searches the isomorphisms mu of the central quotients
+that carry every linear relation among the values of kappa1 to kappa2,
+and for the first such mu the square forces nu (see `isoclinic_decide`).
 
 Witness matrices are always expressed over the deterministic bases:
 the greedy graded complement of the center for central quotients, which
@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .core import (EvenLinearMap, Failure, GradedSubspace, HomLieSuperalgebra,
-                   ValidationReport, _once, _quotient, bracket_span, center,
+from .core import (EvenLinearMap, Failure, GradedBilinearTable, GradedSubspace,
+                   HomLieSuperalgebra, ValidationReport, _once,
+                   _preservation_failures, _quotient, bracket_span, center,
                    check_homomorphism, check_multiplicative, check_regular,
                    derived, direct_sum_with_embeddings, is_isomorphism,
                    is_stem, subalgebra_on)
 from .errors import PreconditionError, SearchInconclusive
-from .linalg import Matrix, _sparse_vec
+from .linalg import Matrix, _dense_vec, _sparse_vec
 
 DEFAULT_BUDGET = 200_000
 
@@ -78,62 +79,78 @@ def derived_algebra(g: HomLieSuperalgebra):
     return subalgebra_on(g, derived(g))
 
 
+@_once
+def _commutator_map(g: HomLieSuperalgebra) -> GradedBilinearTable:
+    """kappa: G/Z x G/Z -> G', (x + Z, y + Z) -> [x, y], as a table over the
+    central quotient's basis e valued in the coordinates of G''s RREF basis.
+    Cell (a, b) is [s e_a, s e_b] for the section s of `central_quotient`
+    (the center drops out, so any lifts give it), and as the columns of s
+    are the unit vectors e_C[a], C increasing, it is the stored cell
+    (C[a], C[b]).  i > j values come from graded skew-symmetry, which
+    `check_multiplicative` already presumes."""
+    f = g.field
+    q, _, sect = central_quotient(g)
+    dsub = derived(g)
+    kept = [sect.matrix.col(a).index(f.one) for a in range(q.dim)]
+    cells = {(a, b): dict(enumerate(dsub.coordinates_of(_dense_vec(f, g.dim, cell))))
+             for a, c in enumerate(kept) for b in range(a, q.dim)
+             if (cell := g.brackets.get((c, kept[b])))}
+    return GradedBilinearTable(f, q.space, derived_algebra(g)[0].space, cells)
+
+
 def verify_isoclinism(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
                       w: IsoclinismWitness) -> ValidationReport:
-    """Check a witness: both maps are twist-intertwining isomorphisms, the
-    bracket square commutes on all quotient basis pairs, and images of
-    derived elements agree with their quotient images modulo the centers
-    (the coset compatibility every isoclinism satisfies).
+    """Check a witness (mu, nu): both maps are twist-intertwining
+    isomorphisms, the square nu(kappa1(a, b)) = kappa2(mu a, mu b) of the
+    commutator maps holds on the quotient basis pairs a <= b (bracket
+    preservation; a failure's sides are mapped into g2), and so does the
+    coset compatibility mu pi1 iota1 = pi2 iota2 nu, pi the projections and
+    iota the inclusions of the derived subalgebras.  Once mu preserves
+    brackets the square implies the coset check, mu pi1 kappa1 = pi2
+    kappa2 (mu x mu), which is kept as the witness comes from outside.
 
-    A witness whose maps do not fit the two algebras is reported, never
-    raised: each misfitting map gets a ``quotient-map-shape`` or
+    Algebras over different fields raise PreconditionError.  A witness
+    whose maps do not fit the two algebras is reported, never raised:
+    each misfitting map gets a ``quotient-map-shape`` or
     ``derived-map-shape`` failure whose ``lhs`` is the map's source graded
     dims followed by its target graded dims, and whose ``rhs`` is the
     expected graded dims, g1's side followed by g2's side (both flat
-    4-tuples of ints)."""
+    4-tuples of ints); a map over another field gets a
+    ``quotient-map-field`` or ``derived-map-field`` failure, sides empty."""
     _require_regular(g1, "first algebra")
     _require_regular(g2, "second algebra")
-    q1, proj1, sect1 = central_quotient(g1)
-    q2, proj2, sect2 = central_quotient(g2)
-    d1sub = derived(g1)
+    if g1.field != g2.field:
+        raise PreconditionError("verification requires the same scalar field")
+    q1, proj1, _ = central_quotient(g1)
+    q2, proj2, _ = central_quotient(g2)
     d1alg, incl1 = derived_algebra(g1)
     d2alg, incl2 = derived_algebra(g2)
-    maps = (("quotient-map", w.quotient_map, q1, q2),
-            ("derived-map", w.derived_map, d1alg, d2alg))
+    mu, nu = w.quotient_map, w.derived_map
+    maps = (("quotient-map", mu, q1, q2), ("derived-map", nu, d1alg, d2alg))
     fails = []
     for name, fmap, a1, a2 in maps:
         got = fmap.source.dims + fmap.target.dims
         want = a1.space.dims + a2.space.dims
         if got != want:
             fails.append(Failure(f"{name}-shape", (), got, want))
+        if fmap.field != g1.field:
+            fails.append(Failure(f"{name}-field", (), (), ()))
     if fails:
         return ValidationReport(tuple(fails))
     for name, fmap, a1, a2 in maps:
-        rep = check_homomorphism(fmap, a1, a2)
         fails.extend(Failure(f"{name}-{fl.axiom}", fl.indices, fl.lhs, fl.rhs)
-                     for fl in rep.failures)
+                     for fl in check_homomorphism(fmap, a1, a2).failures)
         if not fmap.matrix.is_invertible():
             fails.append(Failure(f"{name}-not-invertible", (), (), ()))
     if fails:
         return ValidationReport(tuple(fails))
-    # commuting square: brackets of representatives, pushed both ways; the
-    # representative sect2(mu e_i) of column i of mu is one per basis vector.
-    reps2 = [sect2(w.quotient_map.matrix.col(i)) for i in range(q1.dim)]
-    for i in range(q1.dim):
-        for j in range(i, q1.dim):
-            sig = g1.bracket(sect1.matrix.col(i), sect1.matrix.col(j))
-            coords = d1sub.coordinates_of(sig)
-            lhs = incl2(w.derived_map(coords))
-            rhs = g2.bracket(reps2[i], reps2[j])
-            if lhs != rhs:
-                fails.append(Failure("square", (i, j), lhs, rhs))
-    # coset compatibility on a basis of the derived subalgebra.
-    for a in range(d1alg.dim):
-        n = incl1.matrix.col(a)
-        lhs = w.quotient_map(proj1(n))
-        rhs = proj2(incl2(w.derived_map.matrix.col(a)))
-        if lhs != rhs:
-            fails.append(Failure("coset", (a,), lhs, rhs))
+    fails = [Failure("square", fl.indices, incl2(fl.lhs), incl2(fl.rhs))
+             for fl in _preservation_failures("square", _commutator_map(g1),
+                                              _commutator_map(g2), mu.matrix, nu.matrix)]
+    left = mu.matrix @ proj1.matrix @ incl1.matrix
+    right = proj2.matrix @ incl2.matrix @ nu.matrix
+    fails.extend(Failure("coset", (a,), left.col(a), right.col(a))
+                 for a in range(d1alg.dim) if left.col(a) != right.col(a))
     return ValidationReport(tuple(fails))
 
 
@@ -167,11 +184,9 @@ def witness_from_surjection(f: EvenLinearMap, g1: HomLieSuperalgebra,
     d1alg, incl1 = derived_algebra(g1)
     d2sub = derived(g2)
     d2alg, _ = derived_algebra(g2)
-    fl = g1.field
-    mu_cols = [proj2(f(sect1.matrix.col(i))) for i in range(q1.dim)]
-    mu = EvenLinearMap(q1.space, q2.space, Matrix.from_columns(fl, mu_cols, q2.dim))
+    mu = EvenLinearMap(q1.space, q2.space, proj2.matrix @ f.matrix @ sect1.matrix)
     nu_cols = [d2sub.coordinates_of(f(incl1.matrix.col(a))) for a in range(d1alg.dim)]
-    nu = EvenLinearMap(d1alg.space, d2alg.space, Matrix.from_columns(fl, nu_cols, d2alg.dim))
+    nu = EvenLinearMap(d1alg.space, d2alg.space, Matrix.from_columns(g1.field, nu_cols, d2alg.dim))
     return IsoclinismWitness(mu, nu)
 
 
@@ -355,14 +370,15 @@ def _equations(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra) -> list:
 
 def _relation_equations(lifts1: list, g2: HomLieSuperalgebra, sect2: EvenLinearMap) -> list:
     """The conditions on an even map X: Q1 -> Q2 of central quotients to
-    carry every linear relation among the lifted brackets of g1 to g2.
+    carry every linear relation among the values of g1's commutator map to
+    g2.
 
-    lifts1 holds (i, j, [s1 e_i, s1 e_j]) for the pairs i <= j of quotient
-    basis vectors e, s1 the section of g1, the pairs of equal even vectors
-    left out (their bracket vanishes on both sides).  For each relation
-    sum r_ij [s1 e_i, s1 e_j] = 0 in a basis of them, and each coordinate k
-    of g2, one equation sum r_ij [s2 X e_i, s2 X e_j][k] = 0, s2 = sect2
-    the section of g2.  It is quadratic in the entries x[a * n + i] of X:
+    lifts1 holds (i, j, kappa1(e_i, e_j)) for the pairs i <= j of quotient
+    basis vectors e, in g1' coordinates (`_commutator_map`), the pairs of
+    equal even vectors left out (their bracket vanishes on both sides).
+    For each relation sum r_ij kappa1(e_i, e_j) = 0 in a basis of them,
+    and each coordinate k of g2, one equation sum r_ij [s2 X e_i, s2 X
+    e_j][k] = 0, s2 = sect2 the section of g2.  It is quadratic in the entries x[a * n + i] of X:
     [s2 X e_i, s2 X e_j] is the sum over a, b of x[a * n + i] x[b * n + j]
     [s2 e_a, s2 e_b], a of the parity of i and b of that of j.  Terms are
     merged as in `_equations`.
@@ -651,11 +667,12 @@ def isoclinic_decide(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     polynomials of the twists on the derived algebras each rule one out:
     the verdict is "not-isoclinic".
 
-    The search.  Write s1, s2 for the sections of the central quotients and
-    e_i for the quotient basis.  The brackets [s1 e_i, s1 e_j], i <= j,
-    span g1', since the center drops out of every bracket.  The square of
-    an isoclinism forces nu([s1 e_i, s1 e_j]) = [s2 mu e_i, s2 mu e_j], so
-    every linear relation among the former holds among the latter.  The
+    The search.  Write s1, s2 for the sections of the central quotients,
+    e_i for the quotient basis and kappa for the commutator maps.  The
+    values kappa1(e_i, e_j) = [s1 e_i, s1 e_j], i <= j, span g1'.  The
+    square of an isoclinism forces nu(kappa1(e_i, e_j)) = kappa2(mu e_i,
+    mu e_j) = [s2 mu e_i, s2 mu e_j], so every linear relation among the
+    former holds among the latter.  The
     search is `_Search` on the quotients, over the isomorphisms Q1 -> Q2 that
     intertwine the induced twists, with those relations added to its
     equations (`_relation_equations`).  The added equations are sound, as
@@ -677,8 +694,8 @@ def isoclinic_decide(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
       into itself (g2 is regular), so nu(theta1 [x, y]) = [theta2 x~,
       theta2 y~] = theta2 nu([x, y]).
     So the first leaf is a witness.  nu is read off one RREF of the rows
-    (coordinates of [s1 e_i, s1 e_j] in g1' | those of [s2 mu e_i, s2 mu
-    e_j] in g2'), and the witness is re-verified before it is returned.
+    kappa1(e_i, e_j) | kappa2(mu e_i, mu e_j), and the witness is
+    re-verified before it is returned.
 
     Verdicts of the search.  Over a prime field the search walks every
     even map, so an exhausted search proves that no isoclinism exists:
@@ -695,7 +712,7 @@ def isoclinic_decide(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     _require_regular(g2, "second algebra")
     if g1.field != g2.field:
         raise PreconditionError("decision requires the same scalar field")
-    q1, _, sect1 = central_quotient(g1)
+    q1, _, _ = central_quotient(g1)
     q2, _, sect2 = central_quotient(g2)
     d1alg, _ = derived_algebra(g1)
     d2alg, _ = derived_algebra(g2)
@@ -703,8 +720,8 @@ def isoclinic_decide(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
             or _twist_charpoly(d1alg) != _twist_charpoly(d2alg)):
         return "not-isoclinic", None
     n, even = q1.dim, q1.space.even_dim
-    s1 = [sect1.matrix.col(i) for i in range(n)]
-    lifts1 = [(i, j, g1.bracket(s1[i], s1[j]))
+    kappa1 = _commutator_map(g1)
+    lifts1 = [(i, j, kappa1.value(i, j))
               for i in range(n) for j in range(i, n) if i != j or i >= even]
     search = _Search(q1, q2, budget, _relation_equations(lifts1, g2, sect2))
     prime = g1.field.p is not None
@@ -722,21 +739,16 @@ def isoclinic_decide(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
 
 def _forced_derived_map(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra, lifts1: list,
                         mu: EvenLinearMap) -> EvenLinearMap:
-    """The map nu: g1' -> g2' with nu([s1 e_i, s1 e_j]) = [s2 mu e_i,
-    s2 mu e_j] on the lifted brackets of `isoclinic_decide`, from one RREF
-    of the rows (coordinates on the left, images on the right); raises
-    RuntimeError when those rows are inconsistent."""
+    """The map nu: g1' -> g2' with nu(kappa1(e_i, e_j)) = kappa2(mu e_i,
+    mu e_j) on the pairs lifts1 of `isoclinic_decide`, read off one RREF of
+    the rows kappa1(e_i, e_j) | kappa2(mu e_i, mu e_j) (`_commutator_map`);
+    raises RuntimeError when those rows are inconsistent."""
     f = g1.field
-    d1, d2 = derived(g1), derived(g2)
-    d1alg, _ = derived_algebra(g1)
-    d2alg, _ = derived_algebra(g2)
-    _, _, sect2 = central_quotient(g2)
-    images = [sect2(mu.matrix.col(i)) for i in range(mu.matrix.ncols)]
-    m = d1.dim
-    rows = [d1.coordinates_of(v) + d2.coordinates_of(g2.bracket(images[i], images[j]))
-            for i, j, v in lifts1]
-    red, pivots = Matrix.from_rows(f, rows, m + d2.dim).rref()
+    kappa1, kappa2 = _commutator_map(g1), _commutator_map(g2)
+    m, n = kappa1.target.dim, kappa2.target.dim
+    rows = [v + kappa2.eval(mu.matrix.col(i), mu.matrix.col(j)) for i, j, v in lifts1]
+    red, pivots = Matrix.from_rows(f, rows, m + n).rref()
     if pivots != tuple(range(m)):
         raise RuntimeError("the lifted brackets do not determine a derived map")
     cols = [red.row(a)[m:] for a in range(m)]
-    return EvenLinearMap(d1alg.space, d2alg.space, Matrix.from_columns(f, cols, d2.dim))
+    return EvenLinearMap(kappa1.target, kappa2.target, Matrix.from_columns(f, cols, n))

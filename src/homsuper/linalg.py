@@ -659,26 +659,11 @@ class Matrix:
         return red.submatrix(range(n), range(n, 2 * n))
 
     def det(self):
+        """(-1)^n times the constant term of `charpoly`, det(xI - A) at 0."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        f = self.field
-        n = self.nrows
-        m = [list(r) for r in self.entries]
-        d = f.one
-        for c in range(n):
-            hit = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if hit is None:
-                return f.zero
-            if hit != c:
-                m[c], m[hit] = m[hit], m[c]
-                d = f.neg(d)
-            d = f.mul(d, m[c][c])
-            inv = f.inv(m[c][c])
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    k = f.mul(m[r][c], inv)
-                    m[r] = [f.sub(x, f.mul(k, y)) for x, y in zip(m[r], m[c])]
-        return d
+        c = self.charpoly()[-1]
+        return self.field.neg(c) if self.nrows % 2 else c
 
     def charpoly(self) -> tuple:
         """Coefficients of det(xI - A), leading coefficient first.

@@ -1,15 +1,20 @@
 """Reference witness calculus: composition, inversion, the abelian-summand
-and quotient witnesses, and the five-step witness chain that
-`isoclinic_decide` once assembled from them.
+and quotient witnesses, the five-step witness chain that
+`isoclinic_decide` once assembled from them, and the dense verification
+of a witness.
 
-Kept as an executable oracle: `isoclinic_decide` now builds its witness
+Kept as executable oracles: `isoclinic_decide` now builds its witness
 from one homomorphism g1 -> g2, and by functoriality of the induced maps
-that witness must equal `chain_witness` entry for entry.
+that witness must equal `chain_witness` entry for entry;
+`verify_isoclinism` now checks the square with the bracket-preservation
+kernel on the commutator maps and the coset compatibility as a matrix
+identity, and its report must equal `reference_verify_isoclinism`'s.
 """
 
-from homsuper.core import (EvenLinearMap, GradedSubspace, HomLieSuperalgebra,
-                           derived, direct_sum, direct_sum_with_embeddings,
-                           is_hom_ideal, quotient)
+from homsuper.core import (EvenLinearMap, Failure, GradedSubspace,
+                           HomLieSuperalgebra, ValidationReport,
+                           check_homomorphism, derived, direct_sum,
+                           direct_sum_with_embeddings, is_hom_ideal, quotient)
 from homsuper.errors import PreconditionError
 from homsuper.isoclinism import (DEFAULT_BUDGET, IsoclinismWitness,
                                  _require_regular, central_quotient,
@@ -116,3 +121,54 @@ def chain_witness(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
     if not rep.passed:
         raise RuntimeError("composite isoclinism witness failed verification")
     return total
+
+
+def reference_verify_isoclinism(g1: HomLieSuperalgebra, g2: HomLieSuperalgebra,
+                                w: IsoclinismWitness) -> ValidationReport:
+    """`verify_isoclinism` with the square checked pair by pair on dense
+    brackets of section columns, and the coset compatibility vector by
+    vector on a basis of g1'.  For algebras and maps over one field."""
+    _require_regular(g1, "first algebra")
+    _require_regular(g2, "second algebra")
+    q1, proj1, sect1 = central_quotient(g1)
+    q2, proj2, sect2 = central_quotient(g2)
+    d1sub = derived(g1)
+    d1alg, incl1 = derived_algebra(g1)
+    d2alg, incl2 = derived_algebra(g2)
+    maps = (("quotient-map", w.quotient_map, q1, q2),
+            ("derived-map", w.derived_map, d1alg, d2alg))
+    fails = []
+    for name, fmap, a1, a2 in maps:
+        got = fmap.source.dims + fmap.target.dims
+        want = a1.space.dims + a2.space.dims
+        if got != want:
+            fails.append(Failure(f"{name}-shape", (), got, want))
+    if fails:
+        return ValidationReport(tuple(fails))
+    for name, fmap, a1, a2 in maps:
+        rep = check_homomorphism(fmap, a1, a2)
+        fails.extend(Failure(f"{name}-{fl.axiom}", fl.indices, fl.lhs, fl.rhs)
+                     for fl in rep.failures)
+        if not fmap.matrix.is_invertible():
+            fails.append(Failure(f"{name}-not-invertible", (), (), ()))
+    if fails:
+        return ValidationReport(tuple(fails))
+    # commuting square: brackets of representatives, pushed both ways; the
+    # representative sect2(mu e_i) of column i of mu is one per basis vector.
+    reps2 = [sect2(w.quotient_map.matrix.col(i)) for i in range(q1.dim)]
+    for i in range(q1.dim):
+        for j in range(i, q1.dim):
+            sig = g1.bracket(sect1.matrix.col(i), sect1.matrix.col(j))
+            coords = d1sub.coordinates_of(sig)
+            lhs = incl2(w.derived_map(coords))
+            rhs = g2.bracket(reps2[i], reps2[j])
+            if lhs != rhs:
+                fails.append(Failure("square", (i, j), lhs, rhs))
+    # coset compatibility on a basis of the derived subalgebra.
+    for a in range(d1alg.dim):
+        n = incl1.matrix.col(a)
+        lhs = w.quotient_map(proj1(n))
+        rhs = proj2(incl2(w.derived_map.matrix.col(a)))
+        if lhs != rhs:
+            fails.append(Failure("coset", (a,), lhs, rhs))
+    return ValidationReport(tuple(fails))

@@ -422,6 +422,14 @@ def test_twist_condition_fails_between_hs_and_t2(algebras):
     assert any(fl.axiom == "homomorphism-twist" for fl in rep.failures)
 
 
+def test_homomorphism_check_rejects_a_map_over_another_field(algebras):
+    hs, hs_f3 = algebras["hs"], algebras["hs_f3"]
+    with pytest.raises(ValueError, match="map field does not match the algebras"):
+        check_homomorphism(EvenLinearMap.identity(GF(3), hs.space), hs, hs)
+    with pytest.raises(ValueError, match="map field does not match the algebras"):
+        check_homomorphism(EvenLinearMap.identity(QQ, hs.space), hs, hs_f3)
+
+
 def test_isomorphism_transports_regularity(algebras):
     # a rescaled copy of t2: f -> 3f in coordinates scales [f,f] by 9
     t2 = algebras["t2"]

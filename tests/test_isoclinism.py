@@ -11,9 +11,10 @@ from reference_witness import (chain_witness, compose_witnesses,
                                invert_witness, isoclinism_abelian_sum,
                                isoclinism_quotient)
 
-from homsuper.core import (EvenLinearMap, GradedSubspace, HomLieSuperalgebra,
-                           SuperSpace, abelian, center, check_regular, derived,
-                           direct_sum, is_isomorphism, is_stem, quotient)
+from homsuper.core import (EvenLinearMap, Failure, GradedSubspace,
+                           HomLieSuperalgebra, SuperSpace, abelian, center,
+                           check_regular, derived, direct_sum, is_isomorphism,
+                           is_stem, quotient)
 from homsuper.errors import PreconditionError, SearchInconclusive
 from homsuper.isoclinism import (IsoclinismWitness, central_quotient,
                                  derived_algebra, fingerprint,
@@ -67,7 +68,8 @@ def test_compatible_scaling_verifies(algebras):
 
 
 def test_coset_compatibility_is_checked(algebras):
-    # a witness whose maps are fine in isolation but disagree on cosets
+    # maps that are isomorphisms in isolation but break the square; hs2'
+    # lies in the center of hs2, so its coset check cannot fail
     hs2 = algebras["hs2"]
     q, _, _ = central_quotient(hs2)
     d, _ = derived_algebra(hs2)
@@ -76,6 +78,21 @@ def test_coset_compatibility_is_checked(algebras):
         EvenLinearMap(d.space, d.space, Matrix.from_rows(QQ, [[2]], 1)))
     rep = verify_isoclinism(hs2, hs2, w)
     assert not rep.passed
+    assert [(fl.axiom, fl.indices) for fl in rep.failures] == [("square", (0, 0))]
+    # g22 over F_3 has a zero center: the identity mu and the nu swapping
+    # f1 and f2 break the square and, with it, the coset check
+    g = algebras["g22_f3"]
+    q, _, _ = central_quotient(g)
+    d, _ = derived_algebra(g)
+    swap = Matrix.from_rows(F3, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], 3)
+    w = IsoclinismWitness(EvenLinearMap.identity(F3, q.space),
+                          EvenLinearMap(d.space, d.space, swap))
+    rep = verify_isoclinism(g, g, w)
+    assert rep.failures == (
+        Failure("square", (0, 2), (0, 0, 0, 1), (0, 0, 1, 0)),
+        Failure("square", (0, 3), (0, 0, 1, 0), (0, 0, 0, 1)),
+        Failure("coset", (1,), (0, 0, 1, 0), (0, 0, 0, 1)),
+        Failure("coset", (2,), (0, 0, 0, 1), (0, 0, 1, 0)))
 
 
 def test_shape_mismatch_reported_not_raised(algebras):
@@ -103,6 +120,23 @@ def test_shape_mismatch_reported_not_raised(algebras):
         assert fl.lhs[:2] != fl.rhs[:2] and fl.lhs[2:] == fl.rhs[2:]
     assert shape["quotient-map-shape"].rhs == (0, 1, 2, 2)
     assert shape["derived-map-shape"].rhs == (1, 0, 1, 2)
+
+
+def test_map_over_another_field_is_reported_not_raised(algebras):
+    hs, hs_f3 = algebras["hs"], algebras["hs_f3"]
+    rep = verify_isoclinism(hs, hs, identity_witness(hs_f3))
+    assert rep.failures == (Failure("quotient-map-field", (), (), ()),
+                            Failure("derived-map-field", (), (), ()))
+    mixed = IsoclinismWitness(identity_witness(hs).quotient_map,
+                              identity_witness(hs_f3).derived_map)
+    rep = verify_isoclinism(hs, hs, mixed)
+    assert rep.failures == (Failure("derived-map-field", (), (), ()),)
+
+
+def test_verification_needs_one_field(algebras):
+    hs, hs_f3 = algebras["hs"], algebras["hs_f3"]
+    with pytest.raises(PreconditionError, match="requires the same scalar field"):
+        verify_isoclinism(hs, hs_f3, identity_witness(hs))
 
 
 def test_verification_needs_regular_inputs(algebras):

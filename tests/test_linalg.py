@@ -1,5 +1,7 @@
 """Exact linear algebra: echelon forms, kernels, solving, subspace arithmetic."""
 
+import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -340,6 +342,39 @@ def test_charpoly_matches_oracle_random(m):
 
 def test_charpoly_empty_matrix():
     assert Matrix.zero(QQ, 0, 0).charpoly() == (Fraction(1),)
+
+
+def _laplace_det(f, rows):
+    """det by cofactor expansion along the first row, in the field f."""
+    if not rows:
+        return f.one
+    total = f.zero
+    for c, x in enumerate(rows[0]):
+        if x:
+            term = f.mul(x, _laplace_det(f, [r[:c] + r[c + 1:] for r in rows[1:]]))
+            total = f.sub(total, term) if c % 2 else f.add(total, term)
+    return total
+
+
+def test_det_matches_laplace_expansion():
+    """Random matrices over Q, F_3, F_5 and F_7, n = 0 to 6; every other
+    one is made singular (its last row is the sum of the others, or 0)."""
+    rng = random.Random(0)
+    for f in (QQ, GF(3), GF(5), GF(7)):
+        for n, k in itertools.product(range(7), range(6)):
+            if f.p is None:
+                rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                        for _ in range(n)]
+            else:
+                rows = [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)]
+            if k % 2 and n:
+                rows[-1] = [sum(col) for col in zip(*rows[:-1])] if n > 1 else [0]
+            m = Matrix.from_rows(f, rows, n)
+            got, want = m.det(), _laplace_det(f, m.entries)
+            assert got == want and type(got) is type(want), (f, rows)
+            assert (got != 0) == m.is_invertible()
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        Matrix.zero(QQ, 2, 3).det()
 
 
 def test_inverse_and_det():
